@@ -3,15 +3,17 @@
 from .fieldtower import FieldDescriptor
 
 
-def rref(K: FieldDescriptor, rows):
+def rref(K: FieldDescriptor, rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
     Pivot choice is first nonzero entry, so results are deterministic.
+    Pivots are taken in the first ncols columns only (default: all).
     """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    if ncols is None:
+        ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -74,26 +76,8 @@ def row_dependency(K: FieldDescriptor, rows):
     # Augment each row with the identity to track combinations.
     work = [list(r) + [one if j == i else zero for j in range(n)]
             for i, r in enumerate(rows)]
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, n):
-            if not work[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(n):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x + f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == n:
-            break
-    for i in range(n):
-        if all(work[i][c].is_zero() for c in range(ncols)):
-            return work[i][ncols:]
+    red, _ = rref(K, work, ncols)
+    for row in red:
+        if all(x.is_zero() for x in row[:ncols]):
+            return row[ncols:]
     return None

@@ -17,7 +17,8 @@ from .forms import (QuadraticForm, arf, discriminant_algebra, hyperbolic,
                     orthogonal_sum, subform_test, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 from .clifford import splitting_index
-from .pfister import neighbor_dim5, neighbor_dim6, neighbor_high
+from .pfister import (default_slot_pool, neighbor_dim5, neighbor_dim6,
+                      neighbor_high)
 
 __all__ = [
     "SplitChowRow", "ChowReport", "split_chow_structure",
@@ -309,7 +310,7 @@ def _index_vanishing_rules(phi, dim, arf_zero, cert):
             delta = disc.representative
             K = phi.field
             sigma = QuadraticForm(K, ((K.one(), delta),))
-            for c_try in _norm_scalar_pool(phi):
+            for c_try in default_slot_pool(phi):
                 try:
                     if subform_test(scale(c_try, sigma), phi):
                         return _exact(3, phi, 1, True,
@@ -318,18 +319,6 @@ def _index_vanishing_rules(phi, dim, arf_zero, cert):
                 except Undecided:
                     continue
     return None
-
-
-def _norm_scalar_pool(phi):
-    K = phi.field
-    pool = [K.one()]
-    for v in K.variables:
-        pool.append(K.var(v))
-    for a, b in phi.blocks:
-        for x in (a, b):
-            if not x.is_zero() and x not in pool:
-                pool.append(x)
-    return pool
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ byte-identical JSON, whatever the worker count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -70,13 +71,8 @@ def _split_statements(text):
 def parse_job(text: str, defaults: Job = None) -> Job:
     """`field ...; form ...; run a,b` -> Job.  Statements are
     semicolon-separated; `run` takes a comma-separated computation list."""
-    job = Job()
-    if defaults is not None:
-        job.json_output = defaults.json_output
-        job.strict = defaults.strict
-        job.degree_bound = defaults.degree_bound
-        job.budget = defaults.budget
-        job.seed = defaults.seed
+    job = Job() if defaults is None else dataclasses.replace(
+        defaults, field_text="", form_texts=[], runs=[])
     for raw in _split_statements(text):
         stmt = raw.strip()
         if not stmt:
@@ -192,38 +188,43 @@ def _run_chow(codim, phi, job, flags):
 
 def run_report(job: Job) -> dict:
     """Evaluate every requested computation on every form; deterministic."""
+    previous_cap = fieldtower.get_degree_cap()
     fieldtower.set_degree_cap(max(fieldtower.DEFAULT_DEGREE_CAP,
                                   4 * job.degree_bound))
-    K = parse_field(job.field_text)
-    runs = list(job.runs)
-    if "all" in runs:
-        runs = [c for c in COMPUTATIONS if c != "all"]
-    flags = {"undecided": False}
-    forms_out = []
-    for ft in job.form_texts:
-        phi = parse_form(K, ft)
-        entry = {"input": ft, "form": phi.to_json()}
-        for comp in runs:
-            try:
-                if comp == "invariants":
-                    entry[comp] = _run_invariants(phi, job, flags)
-                elif comp == "witt":
-                    entry[comp] = _run_witt(phi, job, flags)
-                elif comp == "clifford":
-                    entry[comp] = _run_clifford(phi, job, flags)
-                elif comp == "pfister":
-                    entry[comp] = _run_pfister(phi, job, flags)
-                elif comp == "chow2":
-                    entry[comp] = _run_chow(2, phi, job, flags)
-                elif comp == "chow3":
-                    entry[comp] = _run_chow(3, phi, job, flags)
-            except QF2Error as exc:
-                entry[comp] = {"error": type(exc).__name__, "detail": str(exc)}
-                flags["undecided"] = True
-        forms_out.append(entry)
-    return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
-            "field": K.render(), "forms": forms_out,
-            "any_undecided": flags["undecided"]}
+    try:
+        K = parse_field(job.field_text)
+        runs = list(job.runs)
+        if "all" in runs:
+            runs = [c for c in COMPUTATIONS if c != "all"]
+        flags = {"undecided": False}
+        forms_out = []
+        for ft in job.form_texts:
+            phi = parse_form(K, ft)
+            entry = {"input": ft, "form": phi.to_json()}
+            for comp in runs:
+                try:
+                    if comp == "invariants":
+                        entry[comp] = _run_invariants(phi, job, flags)
+                    elif comp == "witt":
+                        entry[comp] = _run_witt(phi, job, flags)
+                    elif comp == "clifford":
+                        entry[comp] = _run_clifford(phi, job, flags)
+                    elif comp == "pfister":
+                        entry[comp] = _run_pfister(phi, job, flags)
+                    elif comp == "chow2":
+                        entry[comp] = _run_chow(2, phi, job, flags)
+                    elif comp == "chow3":
+                        entry[comp] = _run_chow(3, phi, job, flags)
+                except QF2Error as exc:
+                    entry[comp] = {"error": type(exc).__name__,
+                                   "detail": str(exc)}
+                    flags["undecided"] = True
+            forms_out.append(entry)
+        return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
+                "field": K.render(), "forms": forms_out,
+                "any_undecided": flags["undecided"]}
+    finally:
+        fieldtower.set_degree_cap(previous_cap)
 
 
 def render_text(result: dict) -> str:
@@ -238,10 +239,8 @@ def render_text(result: dict) -> str:
 
 
 def _evaluate_job_text(args_tuple):
-    text, defaults_dict = args_tuple
-    defaults = Job(**defaults_dict)
-    job = parse_job(text, defaults)
-    return run_report(job)
+    text, defaults = args_tuple
+    return run_report(parse_job(text, defaults))
 
 
 def _read_config(path):
@@ -316,16 +315,7 @@ def main(argv=None):
             with open(args.batch, "r", encoding="utf-8") as fh:
                 texts = [ln.strip() for ln in fh
                          if ln.strip() and not ln.strip().startswith("#")]
-            ddict = vars(defaults).copy()
-            ddict["form_texts"] = []
-            ddict.pop("field_text", None)
-            ddict.pop("form_texts", None)
-            ddict.pop("runs", None)
-            payload = [(t, {"json_output": defaults.json_output,
-                            "strict": defaults.strict,
-                            "degree_bound": defaults.degree_bound,
-                            "budget": defaults.budget,
-                            "seed": defaults.seed}) for t in texts]
+            payload = [(t, defaults) for t in texts]
             if args.workers > 1:
                 with ProcessPoolExecutor(max_workers=args.workers) as pool:
                     results = list(pool.map(_evaluate_job_text, payload))

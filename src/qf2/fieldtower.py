@@ -29,7 +29,7 @@ from .errors import (DegreeOverflow, FieldMismatch, ParseError, TowerDepthExceed
 __all__ = [
     "FieldDescriptor", "FieldElem", "WpClass", "ExtensionResult",
     "valuation_split", "unit_residue", "is_square", "frobenius_components",
-    "wp_reduce", "wp_member", "wp_add", "quad_extend",
+    "wp_reduce", "wp_member", "quad_extend",
     "parse_field", "parse_element", "render_element",
     "DEFAULT_DEGREE_CAP", "DEFAULT_TOWER_CAP", "set_degree_cap", "get_degree_cap",
 ]
@@ -754,7 +754,6 @@ class WpClass:
             return K.from_base(_canonical_trace_one(K.base_exponent)) \
                 if self.bit else K.zero()
         acc = self.constant.representative().lift_to(K)
-        ops = _ops(K)
         t = K.var(K.top_variable)
         for exp, coeff in self.wild:
             term = coeff.lift_to(K) * t ** exp
@@ -785,6 +784,39 @@ def _canonical_trace_one(e: int) -> int:
     raise AssertionError("no trace-one element")
 
 
+def _principal_walk(lo, v, coeffs):
+    """Reduce the principal part (v, coeffs) of _series_prefix(a, 0).
+
+    From the most negative exponent upward: odd poles and even poles with a
+    non-square coefficient are wild; an even pole c*t^(2k) with c = d^2 is
+    replaced by d*t^k (additivity of wp).  Returns (wild, const, root): the
+    wild (exp, coeff) terms in increasing exponent, the constant coefficient
+    after all replacements, and the (k, d) terms, whose sum z satisfies
+    a + z^2 + z = (wild terms) + const + (terms of positive valuation).
+    """
+    pending = {v + i: c for i, c in enumerate(coeffs) if not lo.is_zero(c)}
+    wild, root = [], []
+    # Square corrections inject new terms at strictly larger (half)
+    # exponents, so the worklist must be dynamic.
+    processed = set()
+    while True:
+        todo = [k for k in pending
+                if k < 0 and k not in processed and not lo.is_zero(pending[k])]
+        if not todo:
+            break
+        exp = min(todo)
+        processed.add(exp)
+        c = pending[exp]
+        if (-exp) % 2 == 1 or not lo.is_square(c):
+            wild.append((exp, c))
+            continue
+        d = lo.sqrt_exact(c)
+        half = exp // 2
+        pending[half] = lo.add(pending.get(half, lo.zero), d)
+        root.append((half, d))
+    return wild, pending.get(0, lo.zero), root
+
+
 def wp_reduce(a: FieldElem) -> WpClass:
     """Canonical reduction of a modulo wp(K) = {x^2 + x}.
 
@@ -804,56 +836,27 @@ def wp_reduce(a: FieldElem) -> WpClass:
     ops = a._ops()
     lo = ops.lower
     v, coeffs = _series_prefix(a, 0)
-    pending = {}
-    for i, c in enumerate(coeffs):
-        if not lo.is_zero(c):
-            pending[v + i] = c
     # Invariant check: the discarded part a - (principal + constant) must
     # have positive valuation.
     tail = a.data
-    for exp, c in pending.items():
+    for i, c in enumerate(coeffs):
+        if lo.is_zero(c):
+            continue
+        exp = v + i
         term = ops.shift(((c,), (lo.one,)), exp) if exp >= 0 else \
             ops.canon((c,), (lo.zero,) * (-exp) + (lo.one,))
         tail = ops.add(tail, term)
     if not ops.is_zero(tail):
         tn, td = tail
         assert ops.pval(tn) - ops.pval(td) >= 1, "principal-part extraction broken"
-
-    # Most negative exponent first; square corrections inject new terms at
-    # strictly larger (half) exponents, so the worklist must be dynamic.
-    wild = []
-    processed = set()
-    while True:
-        todo = [k for k in pending
-                if k < 0 and k not in processed and not lo.is_zero(pending[k])]
-        if not todo:
-            break
-        exp = min(todo)
-        processed.add(exp)
-        c = pending[exp]
-        j = -exp
-        if j % 2 == 1:
-            wild.append((exp, FieldElem(lower, c)))
-            continue
-        if lo.is_square(c):
-            d = lo.sqrt_exact(c)
-            half = exp // 2
-            pending[half] = lo.add(pending.get(half, lo.zero), d)
-        else:
-            wild.append((exp, FieldElem(lower, c)))
-    wild.sort()
-    const = pending.get(0, lo.zero)
-    return WpClass(K, wild=tuple(wild),
+    wild, const, _ = _principal_walk(lo, v, coeffs)
+    return WpClass(K, wild=tuple((e, FieldElem(lower, c)) for e, c in wild),
                    constant=wp_reduce(FieldElem(lower, const)))
 
 
 def wp_member(a: FieldElem) -> bool:
     """True iff a = z^2 + z for some z in the Laurent field."""
     return wp_reduce(a).is_zero()
-
-
-def wp_add(a: WpClass, b: WpClass) -> WpClass:
-    return a.plus(b)
 
 
 def wp_root(a: FieldElem, _iter_cap: int = 128) -> Optional[FieldElem]:
@@ -873,31 +876,13 @@ def wp_root(a: FieldElem, _iter_cap: int = 128) -> Optional[FieldElem]:
         return K.zero()
     lower = K.lower()
     t = K.var(K.top_variable)
-    ops = a._ops()
-    lo = ops.lower
-    v, coeffs = _series_prefix(a, 0)
+    wild, const, root = _principal_walk(a._ops().lower, *_series_prefix(a, 0))
+    if wild:
+        return None
     z = K.zero()
-    pending = {}
-    for i, c in enumerate(coeffs):
-        if not lo.is_zero(c):
-            pending[v + i] = c
-    processed = set()
-    while True:
-        todo = [k for k in pending
-                if k < 0 and k not in processed and not lo.is_zero(pending[k])]
-        if not todo:
-            break
-        exp = min(todo)
-        processed.add(exp)
-        c = pending[exp]
-        if (-exp) % 2 == 1 or not lo.is_square(c):
-            return None
-        d = lo.sqrt_exact(c)
-        half = exp // 2
-        pending[half] = lo.add(pending.get(half, lo.zero), d)
+    for half, d in root:
         z = z + FieldElem(lower, d).lift_to(K) * t ** half
-    const = FieldElem(lower, pending.get(0, lo.zero))
-    z0 = wp_root(const)
+    z0 = wp_root(FieldElem(lower, const))
     if z0 is None:
         return None
     z = z + z0.lift_to(K)
@@ -1035,9 +1020,8 @@ class _Tok:
             m = _TOKEN_RE.match(self.text, pos)
             if not m:
                 if self.text[pos:].strip():
-                    line = self.text.count("\n", 0, pos) + 1
-                    col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-                    raise ParseError(line, col, "a token", self.text[pos])
+                    raise ParseError(*self._linecol(pos), "a token",
+                                     self.text[pos])
                 break
             tok, start = m.group(1), m.start(1)
             if not doubles and tok in ("((", "))"):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
-                     ZeroScalar)
+                     Undecided, ZeroScalar)
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, WpClass,
-                         _Tok, is_square, quad_extend, render_element,
-                         wp_reduce)
+                         _Tok, _parse_expr, _parse_factor, is_square,
+                         quad_extend, render_element, wp_reduce)
 
 __all__ = [
     "QuadraticForm", "GramInput", "DiscriminantAlgebra",
@@ -356,7 +356,6 @@ def represents(phi: QuadraticForm, c: FieldElem) -> bool:
     ql = QuadraticForm(phi.field, (), (c,))
     v2 = decide_isotropy(orthogonal_sum(phi, ql))
     if v2.kind == "unknown" or verdict.kind == "unknown":
-        from .errors import Undecided
         raise Undecided("representation undecided: "
                         + (v2.reason or verdict.reason))
     return v2.kind == "isotropic"
@@ -370,7 +369,6 @@ def isometric(phi: QuadraticForm, psi: QuadraticForm) -> bool:
     invariant); then isometry of the nonsingular parts is sufficient, and
     anything subtler raises Undecided.
     """
-    from .errors import Undecided
     from .witt import witt_decompose
     if phi.field != psi.field:
         raise FieldMismatch("isometry over different fields")
@@ -429,7 +427,6 @@ def _parse_form_item(tk, K) -> QuadraticForm:
 
 def _parse_scalar(tk, K) -> FieldElem:
     """An element expression that stops before '*' followed by a form opener."""
-    from .fieldtower import _parse_factor
     x = _parse_factor(tk, K)
     while tk.peek() in ("*", "/"):
         op = tk.peek()
@@ -446,28 +443,28 @@ def _parse_form_primary(tk, K) -> QuadraticForm:
     t = tk.peek()
     if t == "[":
         tk.next()
-        a = _parse_elem_until(tk, K, (",",))
+        a = _parse_expr(tk, K)
         tk.expect(",")
-        b = _parse_elem_until(tk, K, ("]",))
+        b = _parse_expr(tk, K)
         tk.expect("]")
         return QuadraticForm(K, ((a, b),))
     if t == "<":
         tk.next()
-        entries = [_parse_elem_until(tk, K, (",", ">"))]
+        entries = [_parse_expr(tk, K)]
         while tk.peek() == ",":
             tk.next()
-            entries.append(_parse_elem_until(tk, K, (",", ">")))
+            entries.append(_parse_expr(tk, K))
         tk.expect(">")
         return QuadraticForm(K, (), tuple(entries))
     if t == "pf":
         tk.next()
         tk.expect("(")
-        slots = [_parse_elem_until(tk, K, (",", ";"))]
+        slots = [_parse_expr(tk, K)]
         while tk.peek() == ",":
             tk.next()
-            slots.append(_parse_elem_until(tk, K, (",", ";")))
+            slots.append(_parse_expr(tk, K))
         tk.expect(";")
-        quad = _parse_elem_until(tk, K, (")",))
+        quad = _parse_expr(tk, K)
         tk.expect(")")
         from .pfister import PfisterSpec, make_pfister
         return make_pfister(PfisterSpec(K, tuple(slots), quad))
@@ -477,11 +474,6 @@ def _parse_form_primary(tk, K) -> QuadraticForm:
         tk.expect(")")
         return phi
     tk.fail("a block [a,b], <c>, pf(...), or (form)")
-
-
-def _parse_elem_until(tk, K, stops) -> FieldElem:
-    from .fieldtower import _parse_expr
-    return _parse_expr(tk, K)
 
 
 def render_form(phi: QuadraticForm) -> str:

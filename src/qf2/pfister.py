@@ -10,12 +10,14 @@ Unknown - never an unverified No.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import Undecided, ZeroScalar
 from .fieldtower import FieldDescriptor, FieldElem, render_element
-from .forms import QuadraticForm, arf, orthogonal_sum, scale
+from .forms import (QuadraticForm, arf, discriminant_algebra,
+                    orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 from .clifford import splitting_index
 
@@ -139,8 +141,6 @@ def _search_witness(phi, fold, slot_pool=None, lam_pool=None, budget=400):
     if lam_pool is None:
         lam_pool = slot_pool
     tried = 0
-    idx = [0] * (fold - 1)
-    import itertools
     for slots in itertools.product(slot_pool, repeat=fold - 1):
         for quad in slot_pool:
             spec = PfisterSpec(phi.field, tuple(slots), quad)
@@ -202,7 +202,6 @@ def neighbor_dim6(phi: QuadraticForm,
         return NeighborVerdict("no", "not-anisotropic")
     if arf(phi).is_zero():
         return NeighborVerdict("no", "albert-form")
-    from .forms import discriminant_algebra
     disc = discriminant_algebra(phi)
     if disc.kind != "field":
         return NeighborVerdict("unknown", "discriminant-unsupported",

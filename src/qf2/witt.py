@@ -219,7 +219,6 @@ def _ql_dependency(phi: QuadraticForm):
 
 @dataclass
 class _BlockShape:
-    index: int
     side: int               # 0: unit block; 1: t-scaled block
     a: FieldElem            # normalized entries
     b: FieldElem
@@ -251,7 +250,7 @@ def _normalize_block(K, t, i, a, b):
         tm = t ** (2 * m)
         a = a * tm
         b = b / tm
-    return _BlockShape(i, va % 2, a, b, m, tamed)
+    return _BlockShape(va % 2, a, b, m, tamed)
 
 
 def _normalize_ql(K, t, c):
@@ -272,59 +271,82 @@ def _residue_of_unit(x: FieldElem) -> FieldElem:
 
 @dataclass
 class _ResidueLayout:
-    shapes: list
-    ql_norms: list
     residue0: QuadraticForm
     residue1: QuadraticForm
     coord0: list             # residue coordinate -> input coordinate
     coord1: list
     to_input: list           # per input coordinate: scale factor, or None
-    tamed_coords: set        # input coordinates of tamed blocks
+    tamed_coords: set        # input coordinates whose vectors do not transfer
+    trace: list              # per block, then per line; elements unrendered
 
 
 def _residue_layout(phi: QuadraticForm) -> _ResidueLayout:
+    """Residue forms of phi at the top variable, with the coordinate maps.
+
+    Hyperbolic blocks go to the first residue form as [0,0].  Straddling
+    blocks [unit, t*unit] (isotropic, so decide_isotropy never gets here with
+    one) send a quasilinear line to each side; that is the lattice picture,
+    not a scaling, so their coordinates count as tamed."""
     K = phi.field
     t = K.var(K.top_variable)
     lower = K.lower()
-    shapes = [_normalize_block(K, t, i, a, b)
-              for i, (a, b) in enumerate(phi.blocks)]
-    ql_norms = [_normalize_ql(K, t, c) for c in phi.quasilinear]
-    blocks0, blocks1, ql0, ql1 = [], [], [], []
-    coord0, coord1 = [], []
+    blocks = ([], [])        # per side: ((a, b) residues, (x, y) coordinates)
+    ql = ([], [])            # per side: (residue, coordinate)
     to_input = [None] * phi.dim
     tamed_coords = set()
-    for sh in shapes:
-        xi, yi = 2 * sh.index, 2 * sh.index + 1
+    trace = []
+    for i, (a, b) in enumerate(phi.blocks):
+        xi, yi = 2 * i, 2 * i + 1
+        if a.is_zero() or b.is_zero():
+            to_input[xi] = to_input[yi] = K.one()
+            blocks[0].append(((lower.zero(), lower.zero()), (xi, yi)))
+            trace.append({"block": i, "shape": "hyperbolic"})
+            continue
+        try:
+            sh = _normalize_block(K, t, i, a, b)
+        except NotNormalizable:
+            vw, _ = valuation_split(a * b)
+            if vw <= 0:
+                raise
+            # scale a to valuation 0 and send the two lines to the two sides
+            va, _ = valuation_split(a)
+            a2 = a * t ** (-va)
+            b2 = b * t ** va
+            vb2, _ = valuation_split(b2)
+            if vb2 != 1:
+                raise
+            tamed_coords.update((xi, yi))
+            ql[0].append((_residue_of_unit(a2), xi))
+            ql[1].append((_residue_of_unit(b2 / t), yi))
+            trace.append({"block": i, "shape": "straddle", "lambda": -va})
+            continue
         if sh.tamed:
             tamed_coords.update((xi, yi))
+        to_input[xi] = t ** sh.m
         if sh.side == 0:
-            to_input[xi] = t ** sh.m
             to_input[yi] = t ** (-sh.m)
-            blocks0.append((_residue_of_unit(sh.a), _residue_of_unit(sh.b)))
-            coord0.extend([xi, yi])
+            entry = (_residue_of_unit(sh.a), _residue_of_unit(sh.b))
         else:
             # the second residue form is (1/t) * (t-side), and the scaling
             # identity (t^-1 q)(x, y) = t^-1 q(x, t y) twists the y slot
-            to_input[xi] = t ** sh.m
             to_input[yi] = t ** (1 - sh.m)
-            blocks1.append((_residue_of_unit(sh.a / t),
-                            _residue_of_unit(sh.b * t)))
-            coord1.extend([xi, yi])
+            entry = (_residue_of_unit(sh.a / t), _residue_of_unit(sh.b * t))
+        blocks[sh.side].append((entry, (xi, yi)))
+        trace.append({"block": i, "side": sh.side, "m": sh.m,
+                      "tamed": sh.tamed,
+                      "a": sh.a, "b": sh.b})
     base = 2 * len(phi.blocks)
-    for j, (side, unit, m) in enumerate(ql_norms):
+    for j, c in enumerate(phi.quasilinear):
+        side, unit, m = _normalize_ql(K, t, c)
         to_input[base + j] = t ** m
-        if side == 0:
-            ql0.append(_residue_of_unit(unit))
-            coord0.append(base + j)
-        else:
-            ql1.append(_residue_of_unit(unit))
-            coord1.append(base + j)
-    return _ResidueLayout(
-        shapes=shapes, ql_norms=ql_norms,
-        residue0=QuadraticForm(lower, tuple(blocks0), tuple(ql0)),
-        residue1=QuadraticForm(lower, tuple(blocks1), tuple(ql1)),
-        coord0=coord0, coord1=coord1,
-        to_input=to_input, tamed_coords=tamed_coords)
+        ql[side].append((_residue_of_unit(unit), base + j))
+        trace.append({"ql": j, "side": side, "m": m})
+    residues = [QuadraticForm(lower, tuple(e for e, _ in blocks[s]),
+                              tuple(e for e, _ in ql[s])) for s in (0, 1)]
+    coords = [[c for _, xy in blocks[s] for c in xy] + [c for _, c in ql[s]]
+              for s in (0, 1)]
+    return _ResidueLayout(residues[0], residues[1], coords[0], coords[1],
+                          to_input, tamed_coords, trace)
 
 
 def springer_residues(phi: QuadraticForm) -> ResiduePair:
@@ -335,55 +357,12 @@ def springer_residues(phi: QuadraticForm) -> ResiduePair:
     NotNormalizable.  Straddling blocks [unit, t*unit] (possible only on
     isotropic input) contribute a quasilinear line to each side, matching
     the lattice picture; the trace records every scaling."""
-    K = phi.field
-    if K.level == 0:
+    if phi.field.level == 0:
         raise ValueError("no residues at the finite base")
-    t = K.var(K.top_variable)
-    lower = K.lower()
-    blocks0, blocks1, ql0, ql1 = [], [], [], []
-    trace = []
-    for i, (a, b) in enumerate(phi.blocks):
-        if a.is_zero() or b.is_zero():
-            blocks0.append((lower.zero(), lower.zero()))
-            trace.append({"block": i, "shape": "hyperbolic"})
-            continue
-        try:
-            sh = _normalize_block(K, t, i, a, b)
-        except NotNormalizable:
-            w = a * b
-            vw, _ = valuation_split(w)
-            if vw <= 0:
-                raise
-            # isotropic straddling block: scale a to valuation 0 and send
-            # the two lines to the two sides
-            va, _ = valuation_split(a)
-            a2 = a * t ** (-va)
-            b2 = b * t ** va
-            vb2, _ = valuation_split(b2)
-            if vb2 != 1:
-                raise
-            ql0.append(_residue_of_unit(a2))
-            ql1.append(_residue_of_unit(b2 / t))
-            trace.append({"block": i, "shape": "straddle", "lambda": -va})
-            continue
-        if sh.side == 0:
-            blocks0.append((_residue_of_unit(sh.a), _residue_of_unit(sh.b)))
-        else:
-            blocks1.append((_residue_of_unit(sh.a / t),
-                            _residue_of_unit(sh.b * t)))
-        trace.append({"block": i, "side": sh.side, "m": sh.m,
-                      "tamed": sh.tamed,
-                      "a": render_element(sh.a), "b": render_element(sh.b)})
-    for j, c in enumerate(phi.quasilinear):
-        side, unit, m = _normalize_ql(K, t, c)
-        if side == 0:
-            ql0.append(_residue_of_unit(unit))
-        else:
-            ql1.append(_residue_of_unit(unit))
-        trace.append({"ql": j, "side": side, "m": m})
-    return ResiduePair(QuadraticForm(lower, tuple(blocks0), tuple(ql0)),
-                       QuadraticForm(lower, tuple(blocks1), tuple(ql1)),
-                       tuple(trace))
+    layout = _residue_layout(phi)
+    trace = tuple({k: render_element(v) if isinstance(v, FieldElem) else v
+                   for k, v in step.items()} for step in layout.trace)
+    return ResiduePair(layout.residue0, layout.residue1, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -274,7 +275,8 @@ BATCH_JOBS = [
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    """Byte-identical JSON across two runs and across worker counts 1/8."""
+    """Byte-identical JSON across two runs and across worker counts 1/8,
+    equal to the committed golden output (tests/data/batch_golden.json)."""
     batch = tmp_path / "corpus.jobs"
     batch.write_text("\n".join(BATCH_JOBS) + "\n")
 
@@ -291,7 +293,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     c = run(8)
     assert a == b
     assert a == c
+    assert a == (Path(__file__).parent / "data" / "batch_golden.json").read_text()
     doc = json.loads(a)
     assert len(doc["jobs"]) == len(BATCH_JOBS)
     print(f"\nPASS criterion 10: {len(BATCH_JOBS)}-job corpus byte-identical "
-          f"across reruns and worker counts 1/8")
+          f"across reruns, worker counts 1/8 and the golden output")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qf2 import fieldtower
 from qf2.cli import Job, build_parser, parse_job, render_text, run_report
 from qf2.errors import ParseError
 
@@ -38,6 +39,13 @@ def test_run_report_deterministic():
     r1 = json.dumps(run_report(job), sort_keys=True)
     r2 = json.dumps(run_report(job), sort_keys=True)
     assert r1 == r2
+
+
+def test_run_report_restores_degree_cap():
+    before = fieldtower.get_degree_cap()
+    run_report(parse_job("field F2((t)); form [1,t]; run invariants",
+                         Job(degree_bound=20)))
+    assert fieldtower.get_degree_cap() == before
 
 
 def test_witt_report_content():

@@ -9,7 +9,7 @@ from qf2.errors import ZeroElement
 from qf2.fieldtower import (FieldDescriptor, frobenius_components, is_square,
                             parse_element, parse_field, quad_extend,
                             render_element, unit_residue, valuation_split,
-                            wp_member, wp_reduce)
+                            wp_member, wp_reduce, wp_root)
 
 from helpers import K1, K2, random_elem
 
@@ -206,6 +206,24 @@ def test_wp_member_trivia():
     assert not wp_member(K1.one())  # Tr_F2(1) = 1
     t = K1.var("t")
     assert wp_member(t ** 2 + t ** 4)
+
+
+def test_wp_root():
+    # wp_root finds the roots that are Laurent polynomials in t (here with
+    # coefficients in F2[s]; negative powers of s too make z*z overflow)
+    rng = random.Random(23)
+    s, t = K2.var("s"), K2.var("t")
+    for _ in range(20):
+        z = K2.zero()
+        for k in range(-4, 3):
+            for j in range(2):
+                if rng.random() < 0.3:
+                    z = z + s ** j * t ** k
+        a = z * z + z
+        r = wp_root(a)
+        assert r is not None and r * r + r == a
+    assert wp_root(t ** -1) is None               # odd pole: wild class
+    assert wp_root(K2.var("s") * t ** -2) is None  # non-square even pole
 
 
 def test_wp_additivity_of_classes():

@@ -183,6 +183,17 @@ def test_straddling_block_residues():
     assert any(tr.get("shape") == "straddle" for tr in pair.trace)
 
 
+def test_hyperbolic_block_residues():
+    pair = springer_residues(form(K2, "[0,0]+[1,1]+t*[s,1]"))
+    assert render_form(pair.first) == "[0,0] + [1,1]"
+    assert render_form(pair.second) == "[s,1]"
+    assert pair.trace == (
+        {"block": 0, "shape": "hyperbolic"},
+        {"block": 1, "side": 0, "m": 0, "tamed": False, "a": "1", "b": "1"},
+        {"block": 2, "side": 1, "m": 0, "tamed": False, "a": "s*t",
+         "b": "1/t"})
+
+
 def test_wild_block_not_normalizable():
     phi = form(K2, "[1, s*t^-2]")
     with pytest.raises(NotNormalizable):
