@@ -26,11 +26,15 @@ def rref(K: FieldDescriptor, rows, ncols=None):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r] = [x * inv for x in rows[r]]
+        # x + f * 0 = x: update each row on the pivot row's support only
+        support = [j for j, y in enumerate(prow) if not y.is_zero()]
         for i in range(len(rows)):
             if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x + f * y for x, y in zip(rows[i], rows[r])]
+                row = rows[i]
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] + f * prow[j]
         pivots.append(c)
         r += 1
         if r == len(rows):

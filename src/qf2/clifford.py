@@ -11,12 +11,12 @@ biquaternion Albert forms.  Anything beyond that returns an honest interval.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from ._linalg import kernel_basis
-from .errors import DimensionCap, NotAlbert, OddDimension, Undecided
+from .errors import (DimensionCap, NotAlbert, OddDimension, SoundnessError,
+                     Undecided)
 from .fieldtower import (FieldElem, is_square, quad_extend, render_element,
                          wp_member, wp_reduce, wp_root)
 from .forms import (DiscriminantAlgebra, QuadraticForm, arf,
@@ -63,7 +63,6 @@ class CliffordAlgebra:
         self.basis_masks = [m for m in range(1 << self.n)
                             if not even_only or bin(m).count("1") % 2 == 0]
         self.dim = len(self.basis_masks)
-        self._self_check()
 
     # b_phi(e_i, e_j): 1 inside a block pair, 0 otherwise
     def _polar_gen(self, i, j):
@@ -103,13 +102,14 @@ class CliffordAlgebra:
 
     def mul_masks(self, m1, m2):
         acc = {m1: self.K.one()}
+        zero = self.K.zero()
         j = 0
         while m2:
             if m2 & 1:
                 nxt = {}
                 for m, c in acc.items():
                     for m3, c3 in self._mul_gen(m, j).items():
-                        cur = nxt.get(m3, self.K.zero()) + c * c3
+                        cur = nxt.get(m3, zero) + c * c3
                         if cur.is_zero():
                             nxt.pop(m3, None)
                         else:
@@ -121,10 +121,11 @@ class CliffordAlgebra:
 
     def mul(self, x: dict, y: dict) -> dict:
         out = {}
+        zero = self.K.zero()
         for m1, c1 in x.items():
             for m2, c2 in y.items():
                 for m3, c3 in self.mul_masks(m1, m2).items():
-                    cur = out.get(m3, self.K.zero()) + c1 * c2 * c3
+                    cur = out.get(m3, zero) + c1 * c2 * c3
                     if cur.is_zero():
                         out.pop(m3, None)
                     else:
@@ -133,8 +134,9 @@ class CliffordAlgebra:
 
     def add(self, x: dict, y: dict) -> dict:
         out = dict(x)
+        zero = self.K.zero()
         for m, c in y.items():
-            cur = out.get(m, self.K.zero()) + c
+            cur = out.get(m, zero) + c
             if cur.is_zero():
                 out.pop(m, None)
             else:
@@ -146,26 +148,6 @@ class CliffordAlgebra:
 
     def equal(self, x, y):
         return self.add(x, y) == {}
-
-    def _self_check(self):
-        # even part closed under multiplication (grading is structural:
-        # every rewrite removes letters in pairs), spot-checked; plus
-        # associativity on sampled triples, exhaustive for dim <= 4.
-        rng = random.Random(2)
-        masks = self.basis_masks
-        if self.n <= 4 and not self.even_only:
-            triples = [(a, b, c) for a in masks for b in masks for c in masks]
-        else:
-            triples = [(rng.choice(masks), rng.choice(masks), rng.choice(masks))
-                       for _ in range(25)]
-        for ma, mb, mc in triples:
-            left = self.mul(self.mul_masks(ma, mb), {mc: self.K.one()})
-            right = self.mul({ma: self.K.one()}, self.mul_masks(mb, mc))
-            assert self.equal(left, right), "associativity failure"
-            if self.even_only:
-                prod = self.mul_masks(ma, mb)
-                assert all(bin(m).count("1") % 2 == 0 for m in prod), \
-                    "even part not closed"
 
 
 def build_clifford(phi: QuadraticForm, even_only: bool = False,
@@ -188,6 +170,27 @@ class CenterResult:
     idempotent: Optional[dict]          # algebra element, when rational
 
 
+def _generators(A: CliffordAlgebra):
+    """A generating set of A as an algebra.
+
+    Full algebra: the single generators e_j.  Even part: with w the first
+    anisotropic vector among e_0..e_{n-1}, e_0+e_1, the n-1 products w*e_j,
+    j not the first index of w, since e_i e_j = phi(w)^-1 (e_i w)(w e_j),
+    e_i w = b(e_i, w) + w e_i, and the omitted w*e_j is phi(w) plus the
+    other products of w's support.  Such a w exists whenever n >= 1:
+    quasilinear entries are nonzero, and if every phi(e_k) is 0 the form is
+    a sum of blocks [0,0], where phi(e_0 + e_1) = 1."""
+    one = A.K.one()
+    if not A.even_only:
+        return [{1 << j: one} for j in range(A.n)]
+    if A.n == 0:
+        return []
+    support = next(((k,) for k in range(A.n) if not A._diag[k].is_zero()),
+                   (0, 1))
+    w = {1 << k: one for k in support}
+    return [A.mul(w, {1 << j: one}) for j in range(A.n) if j != support[0]]
+
+
 def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
     """Centralizer by linear solve; for an etale 2-dimensional center,
     classify the Artin-Schreier polynomial and, when it splits rationally,
@@ -199,25 +202,19 @@ def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
     "inseparable".  The central simple statement for odd dimensions is about
     C_0, whose center here comes out 1-dimensional."""
     K = A.K
+    zero, one = K.zero(), K.one()
     masks = A.basis_masks
-    # generating set: single generators for the full algebra, all degree-2
-    # monomials for the even part
-    if A.even_only:
-        gen_elems = [A.mul_masks(1 << i, 1 << j)
-                     for i in range(A.n) for j in range(i + 1, A.n)]
-    else:
-        gen_elems = [{1 << j: K.one()} for j in range(A.n)]
     rows = []
-    for g in gen_elems:
+    for g in _generators(A):
         # constraint x*g + g*x = 0, one row block per basis mask
         cols = []
         for m in masks:
-            x = {m: K.one()}
+            x = {m: one}
             comm = A.add(A.mul(x, g), A.mul(g, x))
             cols.append(comm)
         support = sorted({mm for c in cols for mm in c})
         for mm in support:
-            rows.append([c.get(mm, K.zero()) for c in cols])
+            rows.append([c.get(mm, zero) for c in cols])
     kb = kernel_basis(K, rows, ncols=len(masks))
     dim = len(kb)
     if dim == 1:
@@ -243,15 +240,16 @@ def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
         return CenterResult(2, None, "inseparable", None)
     u = {m: c / beta for m, c in g_vec.items()}
     shifted = A.add(A.mul(u, u), u)
-    assert set(shifted) <= {0}, "u^2 + u is not scalar"
+    if not set(shifted) <= {0}:
+        raise SoundnessError("u^2 + u is not scalar")
     delta = shifted.get(0, K.zero())
     cls = wp_reduce(delta)
     if cls.is_zero():
         classification = "split"
         z = wp_root(delta)
         idem = A.add(u, {0: z}) if z is not None else None
-        if idem is not None:
-            assert A.equal(A.mul(idem, idem), idem), "idempotent check failed"
+        if idem is not None and not A.equal(A.mul(idem, idem), idem):
+            raise SoundnessError("idempotent check failed")
         return CenterResult(2, delta, classification, idem)
     classification = "field" if cls.is_tame() else "unsupported"
     return CenterResult(2, delta, classification, None)

@@ -61,6 +61,10 @@ class RangeViolation(QF2Error):
     """Codimension left the window where an isotropic reduction applies."""
 
 
+class SoundnessError(QF2Error):
+    """A result failed its own exact check; raised even under python -O."""
+
+
 class BudgetExceeded(QF2Error):
     """The brute-force searcher ran out of its node budget."""
 

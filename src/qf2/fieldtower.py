@@ -862,11 +862,13 @@ def wp_member(a: FieldElem) -> bool:
 def wp_root(a: FieldElem, _iter_cap: int = 128) -> Optional[FieldElem]:
     """A rational z with z^2 + z = a, or None.
 
-    None means no root exists inside the fraction field (membership in
-    wp(K-hat) may still hold; wp_member decides that).  The root of the
-    positive-valuation part is found by the terminating rewrite
-    r -> r + (c t^k + c^2 t^{2k}); when the rewrite does not terminate the
-    root is a genuine infinite series and None is returned.
+    A returned z is a root.  None does not prove that no rational root
+    exists: the root of the positive-valuation part is sought by the rewrite
+    r -> r + (c t^k + c^2 t^{2k}), which adds one monomial per step and so
+    finds only Laurent-polynomial roots; it gives up when 2k passes the
+    degree cap.  A rational root that is an infinite series, such as
+    z = 1/(1+s) over F2((s)), is missed.  Membership in wp(K-hat) is decided
+    by wp_member, not here.
     """
     K = a.field
     if K.level == 0:

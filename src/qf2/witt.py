@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._linalg import rref, row_dependency
-from .errors import (BudgetExceeded, Degenerate, NotNormalizable, Undecided)
+from .errors import (BudgetExceeded, Degenerate, NotNormalizable,
+                     SoundnessError, Undecided)
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, _gf,
                          frobenius_components, render_element, unit_residue,
                          valuation_split, wp_member, wp_reduce)
@@ -685,9 +686,10 @@ def _complement(phi, v, u):
 # Brute-force search (independent one-sided oracle).
 
 def _candidate_pool(K: FieldDescriptor, degree_bound: int):
-    """Deterministic candidate entries: 0, then c * monomial ordered by
-    (total degree, exponents, constant).  Per-variable degree is capped at
-    ceil(bound/2) as the valuation-pruning heuristic."""
+    """Deterministic candidate entries as (constant bits, exponents): 0 (as
+    (0, None)), then c * monomial ordered by (total degree, exponents,
+    constant).  Per-variable degree is capped at ceil(bound/2) as the
+    valuation-pruning heuristic."""
     nvars = K.level
     per_var = max(1, (degree_bound + 1) // 2)
     monos = []
@@ -701,29 +703,80 @@ def _candidate_pool(K: FieldDescriptor, degree_bound: int):
 
     rec([], degree_bound)
     monos.sort(key=lambda m: (sum(m), m))
-    pool = [K.zero()]
+    pool = [(0, None)]
     for m in monos:
-        mono = K.one()
-        for name, d in zip(K.variables, m):
-            if d:
-                mono = mono * K.var(name) ** d
         for cbits in range(1, 1 << K.base_exponent):
-            pool.append(K.from_base(cbits) * mono)
+            pool.append((cbits, m))
     return pool
 
 
+def _pool_element(K: FieldDescriptor, entry) -> FieldElem:
+    cbits, mono = entry
+    if not cbits:
+        return K.zero()
+    x = K.from_base(cbits)
+    for name, d in zip(K.variables, mono):
+        if d:
+            x = x * K.var(name) ** d
+    return x
+
+
+def _denominator(x: FieldElem) -> FieldElem:
+    """A nonzero polynomial d in the tower variables with d*x a polynomial."""
+    K = x.field
+    if K.level == 0:
+        return K.one()
+    lower = K.lower()
+    num, den = x.data
+    clear = lower.one()
+    for c in num + den:
+        clear = clear * _denominator(clear * FieldElem(lower, c))
+    # clear * den(t_n): every coefficient clear*c is a polynomial
+    return clear.lift_to(K) * FieldElem(K, (den, (lower.one().data,)))
+
+
+def _terms(x: FieldElem) -> dict:
+    """{exponents (t1 first): constant bits} of a polynomial element."""
+    def rec(data, level):
+        if level == 0:
+            return {(): data} if data else {}
+        out = {}
+        for i, c in enumerate(data[0]):
+            for m, bits in rec(c, level - 1).items():
+                out[m + (i,)] = bits
+        return out
+    return rec(x.data, x.field.level)
+
+
+def _pack(terms: dict, e: int, steps) -> int:
+    """Kronecker packing: the e bits of the coefficient of t^m sit at bit
+    e * sum(m_i * steps_i).  Addition of packed ints is XOR, and shifting
+    by e * sum(m_i * steps_i) multiplies by t^m while no exponent leaves
+    its slot."""
+    out = 0
+    for m, bits in terms.items():
+        out ^= bits << (e * sum(k * s for k, s in zip(m, steps)))
+    return out
+
+
 def brute_force_search(phi: QuadraticForm, degree_bound: int,
-                       budget: int = 200_000, pool=None):
+                       budget: int = 200_000):
     """Search for an exact isotropy witness with small polynomial entries.
 
     One-sided: a returned vector is a verified zero of phi; returning None
     proves nothing.  Meet-in-the-middle over a coordinate split respecting
     block boundaries; the witness minimal in pool-index order is returned,
     independent of evaluation order.  Raises BudgetExceeded past the node
-    budget."""
+    budget.
+
+    The search does no field arithmetic: the form's coefficients are
+    multiplied by one common polynomial denominator D (phi(v) = 0 iff
+    D*phi(v) = 0), the resulting polynomials are packed into ints, and every
+    pool entry c*t^m multiplies them by a constant and a shift.  The witness
+    found is checked through phi.evaluate; a failed check raises
+    SoundnessError."""
     K = phi.field
-    if pool is None:
-        pool = _candidate_pool(K, degree_bound)
+    pool = _candidate_pool(K, degree_bound)
     p = len(pool)
     nb = len(phi.blocks)
     base = 2 * nb
@@ -742,65 +795,84 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
     if cost[0] + cost[1] > budget:
         raise BudgetExceeded(f"{cost[0] + cost[1]} nodes")
 
+    # clear denominators once; D*a, D*b, D*c_j and D are polynomials
+    coeffs = [x for blk in phi.blocks for x in blk] + list(phi.quasilinear)
+    D = K.one()
+    for x in coeffs:
+        D = D * _denominator(D * x)
+    e = K.base_exponent
+    gf = _gf(e)
+    consts = range(1 << e)
+    polys = [_terms(D * x) for x in coeffs] + [_terms(D)]
+    # slot widths: a product term has degree <= deg(poly) + 2 * per_var
+    per_var = max(1, (degree_bound + 1) // 2)
+    steps, step = [], 1
+    for k in range(K.level):
+        steps.append(step)
+        step *= 2 * per_var + 1 + max((m[k] for poly in polys for m in poly),
+                                      default=0)
+    # packed[i][c]: the i-th polynomial times the constant c
+    packed = [[_pack({m: gf.mul(c, bits) for m, bits in poly.items()},
+                     e, steps) for c in consts] for poly in polys]
+    shifts = [e * sum(k * s for k, s in zip(mono, steps)) if c else 0
+              for c, mono in pool]
+    sq = [gf.square(c) for c, _mono in pool]
+    D_packed = packed[-1]
+
     def group_values(group):
+        """Packed D * (group's part of phi), in pool-index key order."""
         kind, idx, _coords, _sz = group
-        vals = []
         if kind == "b":
-            a, b = phi.blocks[idx]
-            sq = [x * x for x in pool]
-            for ix, x in enumerate(pool):
-                ax2 = a * sq[ix]
-                for iy, y in enumerate(pool):
-                    vals.append((ax2 + x * y + b * sq[iy], (ix, iy)))
-        else:
-            c = phi.quasilinear[idx]
-            for ix, x in enumerate(pool):
-                vals.append((c * x * x, (ix,)))
-        return vals
+            pa, pb = packed[2 * idx], packed[2 * idx + 1]
+            ax2 = [pa[q] << 2 * s for q, s in zip(sq, shifts)]
+            by2 = [pb[q] << 2 * s for q, s in zip(sq, shifts)]
+            return [ax2[ix] ^ by2[iy] ^
+                    (D_packed[gf.mul(cx, cy)] << (shifts[ix] + shifts[iy]))
+                    for ix, (cx, _mx) in enumerate(pool)
+                    for iy, (cy, _my) in enumerate(pool)]
+        pc = packed[base + idx]
+        return [pc[q] << 2 * s for q, s in zip(sq, shifts)]
 
     def side_values(side):
-        acc = [(K.zero(), ())]
+        # the key of a value is its index: keys concatenate in nested order
+        acc = [0]
         for g in side:
             gv = group_values(g)
-            acc = [(v0 + v1, k0 + k1) for v0, k0 in acc for v1, k1 in gv]
+            acc = [v0 ^ v1 for v0 in acc for v1 in gv]
         return acc
 
-    # per value keep the minimal key and the minimal not-all-zero key, so a
-    # zero right half can still be completed to a nonzero witness
-    best_left = {}
-    for v, key in side_values(sides[0]):
-        slot = best_left.setdefault(v, [None, None])
-        if slot[0] is None or key < slot[0]:
-            slot[0] = key
-        if any(key) and (slot[1] is None or key < slot[1]):
-            slot[1] = key
+    # Keys are list indices, ordered like the pool-index tuples they stand
+    # for.  Key 0 of each side is its zero half, of value 0.  The right zero
+    # half needs the least nonzero left key of value 0; any other right key
+    # j takes the least left key i of its value; the witness is the least
+    # (i, j).
+    left = side_values(sides[0])
+    first = dict(zip(reversed(left), range(len(left) - 1, -1, -1)))
+    right = side_values(sides[1])
     best = None
-    rights = side_values(sides[1]) if sides[1] else [(K.zero(), ())]
-    for v, key in rights:
-        slot = best_left.get(v)
-        if slot is None:
-            continue
-        lk = slot[0] if any(key) else slot[1]
-        if lk is None:
-            continue
-        cand = lk + key
-        if best is None or cand < best:
-            best = cand
+    try:
+        best = (left.index(0, 1), 0)
+    except ValueError:
+        pass
+    for j in range(1, len(right)):
+        i = first.get(right[j])
+        if i is not None and (best is None or i < best[0]):
+            best = (i, j)
     if best is None:
         return None
-    # reassemble the witness in form coordinates
-    coords = []
-    for g in sides[0]:
-        coords.extend(g[2])
-    for g in sides[1]:
-        coords.extend(g[2])
-    zero = K.zero()
-    vec = [zero] * phi.dim
-    for c, i in zip(coords, best):
-        vec[c] = pool[i]
+    # decode the keys and reassemble the witness in form coordinates
+    vec = [K.zero()] * phi.dim
+    for side, key in zip(sides, best):
+        for kind, _idx, coords, size in reversed(side):
+            key, k = divmod(key, size)
+            picks = divmod(k, p) if kind == "b" else (k,)
+            for c, i in zip(coords, picks):
+                vec[c] = _pool_element(K, pool[i])
     vec = tuple(vec)
-    assert phi.evaluate(vec).is_zero()
-    assert any(not x.is_zero() for x in vec)
+    if not phi.evaluate(vec).is_zero():
+        raise SoundnessError("search witness does not evaluate to zero")
+    if all(x.is_zero() for x in vec):
+        raise SoundnessError("search witness is the zero vector")
     return vec
 
 

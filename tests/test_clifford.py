@@ -1,15 +1,17 @@
 """Clifford algebras, symbols, and the splitting index."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from qf2.errors import DimensionCap, NotAlbert
-from qf2.fieldtower import parse_field
+from qf2.fieldtower import parse_field, render_element
 from qf2.forms import (GramInput, QuadraticForm, arf, hyperbolic,
                        hyperbolic_plane, normal_form, orthogonal_sum,
                        parse_form, scale)
-from qf2.clifford import (albert_index, build_clifford,
+from qf2.clifford import (_generators, albert_index, build_clifford,
                           center_and_idempotents, even_clifford_class,
                           quaternion_splits, splitting_index)
 from qf2.witt import witt_decompose
@@ -75,7 +77,80 @@ def test_tensor_decomposition_small():
                            {m: c for m, c in rhs.items() if not c.is_zero()}
 
 
+# Associativity on sampled triples (every triple for a full algebra with
+# n <= 4) and closure of the even part; this check used to run inside every
+# CliffordAlgebra construction.
+ALGEBRAS = (
+    ("F2", "[1,1]", False), ("F2", "[1,1]", True),
+    ("F2", "[0,0]+[1,1]", False), ("F2", "[1,1]+<1>", False),
+    ("F2", "[1,1]+<1>", True),
+    ("F2((t))", "[1,t]", False), ("F2((t))", "[1,t]+<t>", False),
+    ("F2((t))", "<1,t>", False), ("F2((t))", "[1,1]+t*[1,1]", True),
+    ("F2((t))", "[t,1/t]+[1,1]+<t+1>", True),
+    ("F2((t))", "[1,t]+[1,1]+<1,t,t+1>", False),
+    ("F2((s))((t))", "[1,s]+<t>", False), ("F2((s))((t))", "<1,s,t>", False),
+    ("F2((s))((t))", "[1,1]+s*[1,1]+<t>", True),
+    ("F2((s))((t))", "pf(s,t;1)", True),
+    ("F4((t))", "[1,1]", False), ("F4((t))", "[1,t]+<t+1>", False),
+    ("F4((t))", "[t,1/t]+[1,t^2]", True),
+)
+
+
+@pytest.mark.parametrize("field,text,even_only", ALGEBRAS)
+def test_algebra_associative_and_graded(field, text, even_only):
+    A = build_clifford(form(parse_field(field), text), even_only=even_only)
+    one = A.K.one()
+    rng = random.Random(2)
+    masks = A.basis_masks
+    if A.n <= 4 and not A.even_only:
+        triples = [(a, b, c) for a in masks for b in masks for c in masks]
+    else:
+        triples = [(rng.choice(masks), rng.choice(masks), rng.choice(masks))
+                   for _ in range(25)]
+    for ma, mb, mc in triples:
+        left = A.mul(A.mul_masks(ma, mb), {mc: one})
+        right = A.mul({ma: one}, A.mul_masks(mb, mc))
+        assert A.equal(left, right), (ma, mb, mc)
+        if A.even_only:
+            assert all(bin(m).count("1") % 2 == 0
+                       for m in A.mul_masks(ma, mb)), (ma, mb)
+
+
 # --- center ----------------------------------------------------------------------
+
+def test_center_pinned():
+    # tests/data/center_pinned.json was recorded with the solve that used
+    # all n(n-1)/2 products e_i e_j as generators of C_0; the n-1 products
+    # w*e_j leave the same kernel, so every field must repeat exactly
+    entries = json.loads((Path(__file__).parent / "data" /
+                          "center_pinned.json").read_text())
+    forms = {(e["field"], e["form"]) for e in entries}
+    assert ("F2", "[0,0] + [0,0]") in forms
+    assert ("F2((t))", "[1,t]+[1,1]+<1,t,t+1>") in forms
+    for e in entries:
+        phi = form(parse_field(e["field"]), e["form"])
+        c = center_and_idempotents(build_clifford(phi,
+                                                  even_only=e["even_only"]))
+        assert c.dimension == e["dimension"], e
+        assert (render_element(c.delta) if c.delta is not None
+                else None) == e["delta"], e
+        assert c.classification == e["classification"], e
+        idem = (None if c.idempotent is None else
+                {str(m): render_element(x)
+                 for m, x in sorted(c.idempotent.items())})
+        assert idem == e["idempotent"], e
+
+
+def test_even_part_generators():
+    # n - 1 generators of C_0, with w = e_0 + e_1 when no e_k is anisotropic
+    for K, phi in ((F2, hyperbolic(F2, 2)), (K1, form(K1, "[1,t]+<t>")),
+                   (K2, form(K2, "[0,0]+[1,1]+s*[1,1]"))):
+        A0 = build_clifford(phi, even_only=True)
+        gens = _generators(A0)
+        assert len(gens) == phi.dim - 1
+    one = F2.one()
+    assert _generators(build_clifford(hyperbolic(F2, 2), even_only=True)) == \
+        [{0b011: one}, {0b101: one, 0b110: one}, {0b1001: one, 0b1010: one}]
 
 def test_center_of_even_part_nontrivial_arf():
     A0 = build_clifford(form(F2, "[1,1]"), even_only=True)

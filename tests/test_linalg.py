@@ -2,7 +2,7 @@
 
 import random
 
-from qf2._linalg import kernel_basis, row_dependency
+from qf2._linalg import kernel_basis, rref, row_dependency
 from qf2.fieldtower import parse_element
 
 from helpers import K1, K2, random_elem
@@ -55,3 +55,37 @@ def test_kernel_basis():
     full = kernel_basis(K2, [], ncols=2)
     assert full == [[K2.one(), K2.zero()], [K2.zero(), K2.one()]]
     assert kernel_basis(K2, []) == []
+
+
+def dense_rref(rows):
+    """Reference elimination that updates every column of every row."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()),
+                  None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x + f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def test_rref_sparse_rows_match_dense_elimination():
+    # rref skips the pivot row's zero columns; the result must not change
+    rng = random.Random(47)
+    for _ in range(30):
+        ncols = rng.randint(1, 6)
+        rows = [[random_elem(K2, rng, deg=1) if rng.random() < 0.4
+                 else K2.zero() for _ in range(ncols)]
+                for _ in range(rng.randint(1, 5))]
+        assert rref(K2, rows) == dense_rref(rows)

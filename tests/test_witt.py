@@ -1,12 +1,20 @@
 """Witt engine: isotropy decisions, decomposition, residues, search oracle."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qf2.errors import BudgetExceeded, NotNormalizable, Undecided
-from qf2.fieldtower import parse_field, quad_extend, wp_member
+from qf2 import witt
+from qf2.errors import (BudgetExceeded, NotNormalizable, SoundnessError,
+                        Undecided)
+from qf2.fieldtower import (parse_field, quad_extend, render_element,
+                            wp_member)
 from qf2.forms import (QuadraticForm, arf, hyperbolic, hyperbolic_plane,
                        isometric, orthogonal_sum, parse_form, render_form,
                        scale)
@@ -254,6 +262,64 @@ def test_search_deterministic():
     w1 = brute_force_search(phi, 3)
     w2 = brute_force_search(phi, 3)
     assert w1 == w2
+
+
+def test_search_matches_golden_witnesses():
+    # tests/data/oracle_witnesses.json was recorded with the search that did
+    # fraction arithmetic on every node; the packed search must return the
+    # same witness, None or budget message on every form
+    doc = json.loads((Path(__file__).parent / "data" /
+                      "oracle_witnesses.json").read_text())
+    for entry in doc["entries"]:
+        phi = form(parse_field(entry["field"]), entry["form"])
+        try:
+            wit = brute_force_search(phi, doc["degree_bound"],
+                                     budget=entry["budget"])
+        except BudgetExceeded as exc:
+            got = {"budget_exceeded": str(exc)}
+        else:
+            got = [render_element(x) for x in wit] if wit else None
+        assert got == entry["result"], entry["form"]
+    # the corpus exercises all three outcomes
+    kinds = [type(e["result"]).__name__ for e in doc["entries"]]
+    assert (kinds.count("list"), kinds.count("dict"), len(kinds)) == \
+        (131, 36, 420)
+
+
+FORGED_SEARCH = """
+import sys
+from qf2 import witt
+from qf2.errors import SoundnessError
+from qf2.fieldtower import parse_field
+from qf2.forms import parse_form
+if not sys.flags.optimize:
+    sys.exit(2)
+witt._pack = lambda *args: 0
+try:
+    witt.brute_force_search(parse_form(parse_field("F2((t))"),
+                                       "[1,1]+t*[1,1]"), 4)
+except SoundnessError:
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+def test_search_forged_collision_raises(monkeypatch):
+    # every packed value equal: the search "finds" a witness of an
+    # anisotropic form, and its own check must refuse it
+    monkeypatch.setattr(witt, "_pack", lambda *args: 0)
+    with pytest.raises(SoundnessError):
+        brute_force_search(form(K1, "[1,1]+t*[1,1]"), 4)
+
+
+def test_search_forged_collision_raises_under_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", FORGED_SEARCH],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
 
 
 # --- witt index over extensions --------------------------------------------------
