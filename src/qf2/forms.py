@@ -181,48 +181,59 @@ def normal_form_trace(g: GramInput):
     radical vector if present.  Raises Degenerate(r) when the radical of the
     polar form has dimension >= 2, or when a radical vector has phi = 0
     (zero quasilinear entries are not allowed on nondegenerate forms).
+
+    The polar values of the working vectors are kept in a matrix, read once
+    from the Gram entries and updated after each split; phi-values come
+    from g.evaluate.
     """
     K = g.field
     n = g.dim
     zero, one = K.zero(), K.one()
     vectors = [[one if j == i else zero for j in range(n)] for i in range(n)]
+    # polar[k][l] = b(vectors[k], vectors[l]); b = G + G^T has zero diagonal
+    entries = g.entries
+    polar = [[entries[min(k, l)][max(k, l)] if k != l else zero
+              for l in range(n)] for k in range(n)]
     blocks = []
     basis = []
     while True:
-        pair = None
-        for i in range(len(vectors)):
-            for j in range(i + 1, len(vectors)):
-                if not g.polar(vectors[i], vectors[j]).is_zero():
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for i in range(len(vectors))
+                     for j in range(i + 1, len(vectors))
+                     if not polar[i][j].is_zero()), None)
         if pair is None:
             break
         i, j = pair
         x = vectors[i]
-        binv = g.polar(x, vectors[j]).inverse()
+        binv = polar[i][j].inverse()
         y = [binv * c for c in vectors[j]]
+        cx = [binv * row[j] for row in polar]  # b(v_k, y)
+        cy = [row[i] for row in polar]         # b(v_k, x)
         va, vb = g.evaluate(x), g.evaluate(y)
         # keep the basis in sync with the eager [a,0]/[0,b] -> H rewrite
         if va.is_zero() and not vb.is_zero():
             y = [y[m] + vb * x[m] for m in range(n)]
+            cx = [u + vb * w for u, w in zip(cx, cy)]
             vb = g.evaluate(y)
         elif vb.is_zero() and not va.is_zero():
             x = [x[m] + va * y[m] for m in range(n)]
+            cy = [w + va * u for u, w in zip(cx, cy)]
             va = g.evaluate(x)
         blocks.append((va, vb))
         basis.append(x)
         basis.append(y)
-        rest = []
-        for k, v in enumerate(vectors):
-            if k in (i, j):
-                continue
-            cx = g.polar(v, y)
-            cy = g.polar(v, x)
-            w = [v[m] + cx * x[m] + cy * y[m] for m in range(n)]
-            rest.append(w)
-        vectors = rest
+        # v_k -> v_k + b(v_k,y) x + b(v_k,x) y is orthogonal to x and y; as
+        # b(x,y) = 1 and b is alternating, b(w_k, w_l) = b(v_k, v_l)
+        # + cx_l cy_k + cx_k cy_l in characteristic 2
+        keep = [k for k in range(len(vectors)) if k not in (i, j)]
+        vectors = [[vectors[k][m] + cx[k] * x[m] + cy[k] * y[m]
+                    for m in range(n)] for k in keep]
+        new = [[zero] * len(keep) for _ in keep]
+        for r, k in enumerate(keep):
+            for s in range(r + 1, len(keep)):
+                l = keep[s]
+                new[r][s] = new[s][r] = (polar[k][l] + cx[l] * cy[k]
+                                         + cx[k] * cy[l])
+        polar = new
     if len(vectors) >= 2:
         raise Degenerate(len(vectors))
     quasilinear = []

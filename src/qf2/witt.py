@@ -182,8 +182,10 @@ def _finite_decide(phi: QuadraticForm) -> IsotropyVerdict:
 
 
 def _isotropic_explicit(phi, vec, cert):
-    assert phi.evaluate(vec).is_zero(), "witness does not evaluate to zero"
-    assert any(not x.is_zero() for x in vec), "zero vector is not a witness"
+    if not phi.evaluate(vec).is_zero():
+        raise SoundnessError("witness does not evaluate to zero")
+    if all(x.is_zero() for x in vec):
+        raise SoundnessError("zero vector is not a witness")
     cert = dict(cert)
     cert["witness"] = [render_element(x) for x in vec]
     return IsotropyVerdict("isotropic", phi, witness=tuple(vec),
@@ -211,7 +213,8 @@ def _ql_dependency(phi: QuadraticForm):
     acc = K.zero()
     for li, ci in zip(lam, entries):
         acc = acc + li * li * ci
-    assert acc.is_zero(), "Frobenius dependency does not cancel"
+    if not acc.is_zero():
+        raise SoundnessError("Frobenius dependency does not cancel")
     return lam
 
 
@@ -266,7 +269,8 @@ def _normalize_ql(K, t, c):
 
 def _residue_of_unit(x: FieldElem) -> FieldElem:
     v, u = valuation_split(x)
-    assert v == 0, "entry is not a unit after normalization"
+    if v != 0:
+        raise SoundnessError("entry is not a unit after normalization")
     return unit_residue(u)
 
 
@@ -476,7 +480,8 @@ def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
                                         "variable": K.top_variable,
                                         "side": side})
         vc, _ = valuation_split(c)
-        assert vc >= 1, "residue witness did not gain valuation"
+        if vc < 1:
+            raise SoundnessError("residue witness did not gain valuation")
         partner = None
         for j in range(n):
             if j < nb2 and not x0[j].is_zero():
@@ -535,11 +540,13 @@ def _plane_verdict(phi, x0, y0, extra) -> IsotropyVerdict:
     """span(x0, y0) is a rational plane that is hyperbolic over the Laurent
     field: its binary form has wp-trivial product class."""
     b = phi.polar(x0, y0)
-    assert not b.is_zero(), "plane is polar-degenerate"
+    if b.is_zero():
+        raise SoundnessError("plane is polar-degenerate")
     a = phi.evaluate(y0)
     c = phi.evaluate(x0)
     w = a * c / (b * b)
-    assert wp_member(w), "plane certificate failed its wp replay"
+    if not wp_member(w):
+        raise SoundnessError("plane certificate failed its wp replay")
     cert = {"kind": "isotropic-plane",
             "x": [render_element(v) for v in x0],
             "y": [render_element(v) for v in y0],
@@ -673,7 +680,8 @@ def _complement(phi, v, u):
         rest.append([w[m] + cu * v[m] + cv * u[m] for m in range(n)])
     red, pivots = rref(K, rest)
     basis = [red[i] for i in range(len(pivots))]
-    assert len(basis) == n - 2, "complement has wrong dimension"
+    if len(basis) != n - 2:
+        raise SoundnessError("complement has wrong dimension")
     entries = [[zero] * (n - 2) for _ in range(n - 2)]
     for i in range(n - 2):
         entries[i][i] = phi.evaluate(basis[i])

@@ -62,12 +62,16 @@ def test_criterion_1_residue_dimension_law():
 def test_criterion_2_oracle_agreement():
     """On a 500-form corpus (degree bound 6): the searcher never finds a
     witness for a form the engine declared anisotropic; engine witnesses
-    evaluate to zero exactly; certificate verdicts replay."""
+    evaluate to zero exactly; certificate verdicts replay.  The 500 draws
+    hold 385 distinct forms ([1,1] occurs 19 times over F2((t)) and 9 times
+    over F2((s))((t))), so the agreement covers 385 forms."""
     rng = random.Random(20240802)
     corpus = _corpus(rng, 300, (1, 2), (0, 1), K2) + \
         _corpus(rng, 120, (1, 2), (0, 1), K1) + \
         _corpus(rng, 80, (2, 3), (0,), K2)
     assert len(corpus) == 500
+    distinct = len(set(corpus))
+    assert distinct == 385
     contradictions = 0
     for phi in corpus:
         verdict = decide_isotropy(phi)
@@ -84,8 +88,8 @@ def test_criterion_2_oracle_agreement():
             if verdict.is_anisotropic:
                 contradictions += 1
     assert contradictions == 0
-    print(f"\nPASS criterion 2: oracle agreement on {len(corpus)} forms, "
-          f"0 contradictions")
+    print(f"\nPASS criterion 2: oracle agreement on {len(corpus)} draws, "
+          f"{distinct} distinct forms, 0 contradictions")
 
 
 def test_criterion_3_qq_hyperbolic_and_cancellation():

@@ -1,11 +1,14 @@
 """Forms: normal form, Arf, discriminant algebra, sums, subforms."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from qf2.errors import Degenerate, DegreeOverflow, OddDimension, Undecided
-from qf2.fieldtower import parse_field, wp_reduce
+from qf2.errors import (Degenerate, DegreeOverflow, OddDimension, QF2Error,
+                        Undecided)
+from qf2.fieldtower import parse_field, render_element, wp_reduce
 from qf2.forms import (GramInput, QuadraticForm, arf, arf_representative,
                        combine, discriminant_algebra, hyperbolic,
                        hyperbolic_plane, isometric, normal_form,
@@ -13,7 +16,7 @@ from qf2.forms import (GramInput, QuadraticForm, arf, arf_representative,
                        render_form, represents, scale, square_scale_block,
                        subform_test)
 
-from helpers import K1, K2, random_tame_form
+from helpers import K1, K2, random_elem, random_tame_form
 
 F2 = parse_field("F2")
 
@@ -52,41 +55,79 @@ def test_normal_form_degenerate():
 
 def test_normal_form_isometry_via_basis_trace():
     rng = random.Random(5)
-    K = K2
-    for _ in range(15):
-        n = rng.choice([2, 3, 4, 5])
-        entries = [[K.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                if rng.random() < 0.7:
-                    from helpers import random_elem
-                    entries[i][j] = random_elem(K, rng, deg=1)
-        g = GramInput(K, tuple(tuple(r) for r in entries))
+    F4 = parse_field("F4((t))")
+    outcomes = {"verified": 0, "Degenerate": 0, "DegreeOverflow": 0,
+                "check overflows": 0}
+    for K in (K1, F4, K2):
+        for n in range(2, 11):
+            entries = [[K.zero()] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.7:
+                        entries[i][j] = random_elem(K, rng, deg=1)
+            g = GramInput(K, tuple(tuple(r) for r in entries))
+            try:
+                phi, basis = normal_form_trace(g)
+            except (Degenerate, DegreeOverflow) as exc:
+                # dense random fractions can blow past the cap; that guard
+                # is itself under test elsewhere
+                outcomes[type(exc).__name__] += 1
+                continue
+            try:
+                _check_basis_trace(g, phi, basis)
+            except DegreeOverflow:
+                # the check's own products of basis coordinates swell past
+                # the cap (dim 10 over F2((s))((t)))
+                outcomes["check overflows"] += 1
+                continue
+            outcomes["verified"] += 1
+    assert outcomes == {"verified": 14, "Degenerate": 9,
+                        "DegreeOverflow": 3, "check overflows": 1}
+
+
+def _check_basis_trace(g, phi, vecs):
+    """The recorded basis reproduces the block values and pairings."""
+    K = g.field
+    k = 0
+    for a, b in phi.blocks:
+        assert g.evaluate(vecs[k]) == a
+        assert g.evaluate(vecs[k + 1]) == b
+        assert g.polar(vecs[k], vecs[k + 1]) == K.one()
+        k += 2
+    for c in phi.quasilinear:
+        assert g.evaluate(vecs[k]) == c
+        k += 1
+    # off-block pairings vanish
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if not (i // 2 == j // 2 and i < 2 * len(phi.blocks)
+                    and j < 2 * len(phi.blocks)):
+                assert g.polar(vecs[i], vecs[j]).is_zero()
+
+
+def test_normal_form_pinned():
+    # tests/data/normal_form_pinned.json was recorded with the reduction
+    # that recomputed every polar value from the Gram matrix; the maintained
+    # polar matrix must give the same forms, bases and errors
+    entries = json.loads((Path(__file__).parent / "data" /
+                          "normal_form_pinned.json").read_text())
+    outcomes = {"ok": 0, "Degenerate": 0, "DegreeOverflow": 0}
+    for e in entries:
+        K = parse_field(e["field"])
+        g = GramInput(K, tuple(tuple(K.element(x) for x in row)
+                               for row in e["gram"]))
         try:
             phi, basis = normal_form_trace(g)
-        except Degenerate:
+        except QF2Error as exc:
+            assert type(exc).__name__ == e.get("error"), e["gram"]
+            outcomes[e["error"]] += 1
             continue
-        except DegreeOverflow:
-            # dense random fractions can blow past the cap; that guard is
-            # itself under test elsewhere
-            continue
-        # the recorded basis must reproduce the block values and pairings
-        vecs = basis
-        k = 0
-        for a, b in phi.blocks:
-            assert g.evaluate(vecs[k]) == a
-            assert g.evaluate(vecs[k + 1]) == b
-            assert g.polar(vecs[k], vecs[k + 1]) == K.one()
-            k += 2
-        for c in phi.quasilinear:
-            assert g.evaluate(vecs[k]) == c
-            k += 1
-        # off-block pairings vanish
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if not (i // 2 == j // 2 and i < 2 * len(phi.blocks)
-                        and j < 2 * len(phi.blocks)):
-                    assert g.polar(vecs[i], vecs[j]).is_zero()
+        assert "error" not in e, e["gram"]
+        assert render_form(phi) == e["form"], e["gram"]
+        assert [[render_element(x) for x in v] for v in basis] == \
+            e["basis"], e["gram"]
+        outcomes["ok"] += 1
+    assert outcomes == {"ok": 127, "Degenerate": 33, "DegreeOverflow": 8}
 
 
 # --- arf ---------------------------------------------------------------------

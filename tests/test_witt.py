@@ -312,13 +312,52 @@ def test_search_forged_collision_raises(monkeypatch):
         brute_force_search(form(K1, "[1,1]+t*[1,1]"), 4)
 
 
-def test_search_forged_collision_raises_under_O():
+def run_optimized(code):
+    """Run code in a `python -O` subprocess that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-O", "-c", FORGED_SEARCH],
+    return subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
+
+
+def test_search_forged_collision_raises_under_O():
+    proc = run_optimized(FORGED_SEARCH)
+    assert proc.returncode == 3, proc.stderr
+
+
+FORGED_WITNESS = """
+import sys
+from qf2 import witt
+from qf2.errors import SoundnessError
+from qf2.fieldtower import parse_field
+from qf2.forms import parse_form
+if not sys.flags.optimize:
+    sys.exit(2)
+K = parse_field("F2((t))")
+phi = parse_form(K, "[1,1]+t*[1,1]")
+try:
+    witt._isotropic_explicit(phi, (K.one(), K.zero(), K.zero(), K.zero()),
+                             {"kind": "forged"})
+except SoundnessError:
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+def test_explicit_witness_forged_raises():
+    # (1, 0, 0, 0) is nonzero and phi takes the value 1 on it
+    phi = form(K1, "[1,1]+t*[1,1]")
+    z, one = K1.zero(), K1.one()
+    with pytest.raises(SoundnessError):
+        witt._isotropic_explicit(phi, (one, z, z, z), {"kind": "forged"})
+    with pytest.raises(SoundnessError):
+        witt._isotropic_explicit(phi, (z, z, z, z), {"kind": "forged"})
+
+
+def test_explicit_witness_forged_raises_under_O():
+    proc = run_optimized(FORGED_WITNESS)
     assert proc.returncode == 3, proc.stderr
 
 
