@@ -21,7 +21,7 @@ from .clifford import (AlgebraClassDescriptor, CliffordAlgebra,
                        SplittingIndexResult, albert_index, build_clifford,
                        center_and_idempotents, even_clifford_class,
                        quaternion_splits, splitting_index)
-from .pfister import (NeighborVerdict, PfisterSpec, make_pfister,
+from .pfister import (NeighborVerdict, PfisterSpec, make_pfister, neighbor,
                       neighbor_dim5, neighbor_dim6, neighbor_high,
                       pfister_hyperbolicity)
 from .chow import (ChowReport, SplitChowRow, chow2_torsion, chow3_torsion,

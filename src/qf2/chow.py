@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import RangeViolation, Undecided
+from .errors import RangeViolation, SoundnessError, Undecided
 from .forms import (QuadraticForm, arf, discriminant_algebra, hyperbolic,
                     orthogonal_sum, subform_test, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 from .clifford import splitting_index
-from .pfister import (default_slot_pool, neighbor_dim5, neighbor_dim6,
-                      neighbor_high)
+from .pfister import default_slot_pool, neighbor
 
 __all__ = [
     "SplitChowRow", "ChowReport", "split_chow_structure",
@@ -102,9 +101,11 @@ class ChowReport:
     certificates: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.order in (1, 2), "torsion order bound exceeded"
-        if self.kind == "Exactly":
-            assert self.group in ("0", "Z/2")
+        if self.order not in (1, 2):
+            raise SoundnessError(f"torsion order {self.order} exceeds the "
+                                 "bound 2")
+        if self.kind == "Exactly" and self.group not in ("0", "Z/2"):
+            raise SoundnessError(f"exact torsion group {self.group!r}")
 
     def to_json(self):
         return {"schema_version": SCHEMA_VERSION,
@@ -133,6 +134,13 @@ def _atmost(codim, phi, rules, assumptions, certificates=None):
 # ---------------------------------------------------------------------------
 # Codimension 2.
 
+# dimension -> (rule prefix, assumption when the neighbor status is unknown)
+_NEIGHBOR_RULES = {5: ("dim5", "dim-5 neighbor status unknown: "),
+                   6: ("dim6", "dim-6 neighbor status unknown: "),
+                   7: ("dim78", "dim-7 Pfister-neighbor status unknown: "),
+                   8: ("dim78", "dim-8 Pfister-neighbor status unknown: ")}
+
+
 def chow2_torsion(phi: QuadraticForm) -> ChowReport:
     """CH^2 torsion of the projective quadric of phi.
 
@@ -159,48 +167,25 @@ def chow2_torsion(phi: QuadraticForm) -> ChowReport:
         return _exact(2, phi, 1, None, ["isotropic-torsion-free"],
                       certificates={"isotropy": verdict.to_json()})
     cert = {"anisotropy": verdict.to_json()}
-    if dim == 5:
-        nv = neighbor_dim5(phi)
-        cert["neighbor"] = nv.to_json()
-        sres = splitting_index(phi)
-        cert["splitting_index"] = sres.to_json()
-        if nv.status == "yes":
-            return _exact(2, phi, 2, False, ["dim5-pfister-neighbor"],
-                          certificates=cert)
-        if nv.status == "no":
-            return _exact(2, phi, 1, True, ["dim5-not-neighbor"],
-                          certificates=cert)
-        return _atmost(2, phi, ["order-bound"],
-                       ["dim-5 neighbor status unknown: " + nv.reason], cert)
-    if dim == 6:
-        if arf(phi).is_zero():
-            return _exact(2, phi, 1, False, ["dim6-albert-torsion-free"],
-                          image=anisotropic_image_row(4, 2, arf_zero=True),
-                          certificates=cert)
-        nv = neighbor_dim6(phi)
-        cert["neighbor"] = nv.to_json()
-        if nv.status == "yes":
-            return _exact(2, phi, 2, False, ["dim6-pfister-neighbor"],
-                          certificates=cert)
-        if nv.status == "no":
-            return _exact(2, phi, 1, True, ["dim6-not-neighbor"],
-                          image=anisotropic_image_row(4, 2, arf_zero=False),
-                          certificates=cert)
-        return _atmost(2, phi, ["order-bound"],
-                       ["dim-6 neighbor status unknown: " + nv.reason], cert)
-    # dims 7 and 8
-    nv = neighbor_high(phi)
+    if dim == 6 and arf(phi).is_zero():
+        return _exact(2, phi, 1, False, ["dim6-albert-torsion-free"],
+                      image=anisotropic_image_row(4, 2, arf_zero=True),
+                      certificates=cert)
+    nv = neighbor(phi)
     cert["neighbor"] = nv.to_json()
+    if dim == 5:
+        cert["splitting_index"] = splitting_index(phi).to_json()
+    prefix, unknown = _NEIGHBOR_RULES[dim]
     if nv.status == "yes":
-        return _exact(2, phi, 2, False, ["dim78-pfister-neighbor"],
+        return _exact(2, phi, 2, False, [f"{prefix}-pfister-neighbor"],
                       certificates=cert)
     if nv.status == "no":
         elementary = dim != 8 or not arf(phi).is_zero()
-        return _exact(2, phi, 1, elementary, ["dim78-not-neighbor"],
-                      certificates=cert)
-    return _atmost(2, phi, ["order-bound"],
-                   [f"dim-{dim} Pfister-neighbor status unknown: "
-                    + nv.reason], cert)
+        image = anisotropic_image_row(4, 2, arf_zero=False) if dim == 6 \
+            else None
+        return _exact(2, phi, 1, elementary, [f"{prefix}-not-neighbor"],
+                      image=image, certificates=cert)
+    return _atmost(2, phi, ["order-bound"], [unknown + nv.reason], cert)
 
 
 # ---------------------------------------------------------------------------

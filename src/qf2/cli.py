@@ -25,7 +25,7 @@ from .forms import arf, discriminant_algebra, parse_form
 from .witt import brute_force_search, decide_isotropy, witt_decompose
 from .clifford import (build_clifford, center_and_idempotents,
                        even_clifford_class, splitting_index)
-from .pfister import neighbor_dim5, neighbor_dim6, neighbor_high
+from .pfister import neighbor
 from .chow import chow2_torsion, chow3_torsion
 
 SCHEMA_VERSION = "1"
@@ -165,13 +165,8 @@ def _run_clifford(phi, job, flags):
 
 
 def _run_pfister(phi, job, flags):
-    if phi.dim == 5:
-        nv = neighbor_dim5(phi)
-    elif phi.dim == 6:
-        nv = neighbor_dim6(phi)
-    elif phi.dim in (7, 8):
-        nv = neighbor_high(phi)
-    else:
+    nv = neighbor(phi)
+    if nv is None:
         return {"neighbor": None,
                 "note": f"no neighbor test at dimension {phi.dim}"}
     if nv.status == "unknown":
@@ -179,11 +174,19 @@ def _run_pfister(phi, job, flags):
     return {"neighbor": nv.to_json()}
 
 
-def _run_chow(codim, phi, job, flags):
-    report = chow2_torsion(phi) if codim == 2 else chow3_torsion(phi)
+def _chow_json(report, flags):
     if report.kind == "AtMost":
         flags["undecided"] = True
     return report.to_json()
+
+
+# runner(phi, job, flags) of each computation in COMPUTATIONS but "all"
+_RUNNERS = {
+    "invariants": _run_invariants, "witt": _run_witt,
+    "clifford": _run_clifford, "pfister": _run_pfister,
+    "chow2": lambda phi, job, flags: _chow_json(chow2_torsion(phi), flags),
+    "chow3": lambda phi, job, flags: _chow_json(chow3_torsion(phi), flags),
+}
 
 
 def run_report(job: Job) -> dict:
@@ -203,18 +206,7 @@ def run_report(job: Job) -> dict:
             entry = {"input": ft, "form": phi.to_json()}
             for comp in runs:
                 try:
-                    if comp == "invariants":
-                        entry[comp] = _run_invariants(phi, job, flags)
-                    elif comp == "witt":
-                        entry[comp] = _run_witt(phi, job, flags)
-                    elif comp == "clifford":
-                        entry[comp] = _run_clifford(phi, job, flags)
-                    elif comp == "pfister":
-                        entry[comp] = _run_pfister(phi, job, flags)
-                    elif comp == "chow2":
-                        entry[comp] = _run_chow(2, phi, job, flags)
-                    elif comp == "chow3":
-                        entry[comp] = _run_chow(3, phi, job, flags)
+                    entry[comp] = _RUNNERS[comp](phi, job, flags)
                 except QF2Error as exc:
                     entry[comp] = {"error": type(exc).__name__,
                                    "detail": str(exc)}

@@ -28,7 +28,7 @@ __all__ = [
     "CliffordAlgebra", "AlgebraClassDescriptor", "SplittingIndexResult",
     "CenterResult", "build_clifford", "center_and_idempotents",
     "quaternion_splits", "albert_index", "splitting_index",
-    "clifford_class", "even_clifford_class",
+    "even_clifford_class",
 ]
 
 DEFAULT_DIMENSION_CAP = 8
@@ -88,15 +88,12 @@ class CliffordAlgebra:
             else:
                 out = {}
                 for m2, c2 in self._mul_gen(rest, j).items():
-                    assert not (m2 >> top) & 1
+                    if (m2 >> top) & 1:
+                        raise SoundnessError("e_rest * e_j contains e_top")
                     out[m2 | (1 << top)] = c2
                 bij = self._polar_gen(top, j)
                 if not bij.is_zero():
-                    cur = out.get(rest, self.K.zero()) + bij
-                    if cur.is_zero():
-                        out.pop(rest, None)
-                    else:
-                        out[rest] = cur
+                    _accumulate(out, rest, bij, self.K.zero())
         self._gen_cache[key] = out
         return out
 
@@ -109,11 +106,7 @@ class CliffordAlgebra:
                 nxt = {}
                 for m, c in acc.items():
                     for m3, c3 in self._mul_gen(m, j).items():
-                        cur = nxt.get(m3, zero) + c * c3
-                        if cur.is_zero():
-                            nxt.pop(m3, None)
-                        else:
-                            nxt[m3] = cur
+                        _accumulate(nxt, m3, c * c3, zero)
                 acc = nxt
             m2 >>= 1
             j += 1
@@ -125,22 +118,14 @@ class CliffordAlgebra:
         for m1, c1 in x.items():
             for m2, c2 in y.items():
                 for m3, c3 in self.mul_masks(m1, m2).items():
-                    cur = out.get(m3, zero) + c1 * c2 * c3
-                    if cur.is_zero():
-                        out.pop(m3, None)
-                    else:
-                        out[m3] = cur
+                    _accumulate(out, m3, c1 * c2 * c3, zero)
         return out
 
     def add(self, x: dict, y: dict) -> dict:
         out = dict(x)
         zero = self.K.zero()
         for m, c in y.items():
-            cur = out.get(m, zero) + c
-            if cur.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = cur
+            _accumulate(out, m, c, zero)
         return out
 
     def one(self):
@@ -150,11 +135,20 @@ class CliffordAlgebra:
         return self.add(x, y) == {}
 
 
-def build_clifford(phi: QuadraticForm, even_only: bool = False,
-                   cap: int = DEFAULT_DIMENSION_CAP) -> CliffordAlgebra:
+def _accumulate(out: dict, mask, c: FieldElem, zero: FieldElem) -> None:
+    """out[mask] += c, dropping the entry when the sum is zero."""
+    cur = out.get(mask, zero) + c
+    if cur.is_zero():
+        out.pop(mask, None)
+    else:
+        out[mask] = cur
+
+
+def build_clifford(phi: QuadraticForm,
+                   even_only: bool = False) -> CliffordAlgebra:
     """Multiplication table of C(phi) (or C_0(phi) on the even masks)."""
-    if phi.dim > cap:
-        raise DimensionCap(f"dim {phi.dim} > cap {cap}")
+    if phi.dim > DEFAULT_DIMENSION_CAP:
+        raise DimensionCap(f"dim {phi.dim} > cap {DEFAULT_DIMENSION_CAP}")
     return CliffordAlgebra(phi, even_only=even_only)
 
 
@@ -399,18 +393,6 @@ class AlgebraClassDescriptor:
                                    if self.companion_form else None),
                 "index_interval": list(self.index_interval),
                 "rules": list(self.rules)}
-
-
-def clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:
-    """Descriptor of [C(phi)] for nonsingular phi (central simple over K)."""
-    if not phi.is_nonsingular:
-        raise OddDimension("C(phi) is central simple only for even dim")
-    K = phi.field
-    syms = _symbols_of_even_form(phi)
-    center = discriminant_algebra(phi)
-    interval = _index_interval_of_symbols(K, syms)
-    return AlgebraClassDescriptor(center, tuple(syms), None, interval,
-                                  ("block-symbols",))
 
 
 def even_clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .errors import (DegreeOverflow, FieldMismatch, ParseError, TowerDepthExceeded,
-                     ZeroElement)
+from .errors import (DegreeOverflow, FieldMismatch, ParseError, SoundnessError,
+                     TowerDepthExceeded, ZeroElement)
 
 __all__ = [
     "FieldDescriptor", "FieldElem", "WpClass", "ExtensionResult",
@@ -80,63 +80,42 @@ def _poly2_divmod(a: int, b: int):
     return q, a
 
 
-def _poly2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly2_divmod(a, b)[1]
-    return a
-
-
-def _poly2_powmod(a: int, n: int, m: int) -> int:
-    r = 1
-    a = _poly2_divmod(a, m)[1]
-    while n:
-        if n & 1:
-            r = _poly2_divmod(_poly2_mul(r, a), m)[1]
-        a = _poly2_divmod(_poly2_mul(a, a), m)[1]
-        n >>= 1
-    return r
-
-
-def _is_irreducible(f: int, e: int) -> bool:
-    # f irreducible over F_2 iff x^(2^e) = x mod f and gcd(x^(2^(e/p)) - x, f) = 1
-    # for every prime p dividing e.
-    if _poly2_powmod(2, 2 ** e, f) != _poly2_divmod(2, f)[1]:
-        return False
-    d, primes = e, []
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            primes.append(p)
-            while d % p == 0:
-                d //= p
-        p += 1
-    if d > 1:
-        primes.append(d)
-    for p in primes:
-        g = _poly2_gcd(_poly2_powmod(2, 2 ** (e // p), f) ^ 2, f)
-        if g != 1:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _modulus(e: int) -> int:
-    """Smallest irreducible polynomial of degree e over F_2, as a bitmask."""
-    if e == 1:
-        return 0b10  # x itself: F_2[x]/(x) = F_2
+    """Smallest irreducible polynomial of degree e over F_2, as a bitmask.
+
+    For e = 1 this is x itself (F_2[x]/(x) = F_2); from e = 2 on, trial
+    division by every polynomial of degree 1..e//2 rejects the reducible
+    candidates (x included, so every even candidate).
+    """
     for f in range(1 << e, 1 << (e + 1)):
-        if f & 1 and _is_irreducible(f, e):
+        if all(_poly2_divmod(f, d)[1] for d in range(2, 1 << (e // 2 + 1))):
             return f
-    raise AssertionError(f"no irreducible of degree {e}")
 
 
 class _GF2e:
-    """Arithmetic context for F_{2^e}."""
+    """Arithmetic in F_{2^e}; also the level-0 ops of every tower over it."""
+
+    level = 0
+    zero = 0
+    one = 1
 
     def __init__(self, e: int):
         self.e = e
         self.q = 1 << e
         self.mod = _modulus(e)
+
+    def is_zero(self, a: int) -> bool:
+        return a == 0
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def is_square(self, a: int) -> bool:
+        return True
+
+    def lift_const(self, bits: int) -> int:
+        return bits
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -160,7 +139,7 @@ class _GF2e:
             n >>= 1
         return r
 
-    def sqrt(self, a: int) -> int:
+    def sqrt_exact(self, a: int) -> int:
         # Frobenius is bijective: sqrt(a) = a^(2^(e-1)).
         return self.pow(a, 1 << (self.e - 1))
 
@@ -259,15 +238,10 @@ def _embed_base(x: int, e: int, e2: int) -> int:
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """A tower F_{2^e}((t1))...((tn)).
-
-    extension_chain records the Artin-Schreier constant extensions that were
-    applied to reach this base (rendered deltas, provenance only).
-    """
+    """A tower F_{2^e}((t1))...((tn))."""
 
     base_exponent: int = 1
     variables: tuple = ()
-    extension_chain: tuple = ()
 
     def __post_init__(self):
         if self.base_exponent < 1:
@@ -284,8 +258,7 @@ class FieldDescriptor:
     def lower(self) -> "FieldDescriptor":
         if not self.variables:
             raise ValueError("already at the base")
-        return FieldDescriptor(self.base_exponent, self.variables[:-1],
-                               self.extension_chain)
+        return FieldDescriptor(self.base_exponent, self.variables[:-1])
 
     @property
     def top_variable(self) -> str:
@@ -338,41 +311,6 @@ class FieldDescriptor:
 # Raw data: level 0 -> int; level n -> (num, den) with num/den tuples of
 # lower-level raw data (coefficient of degree i at index i, last entry
 # nonzero, () the zero polynomial).
-
-
-class _BaseOps:
-    level = 0
-
-    def __init__(self, e: int):
-        self.gf = _gf(e)
-        self.zero = 0
-        self.one = 1
-
-    def is_zero(self, x):
-        return x == 0
-
-    def add(self, x, y):
-        return x ^ y
-
-    def mul(self, x, y):
-        return self.gf.mul(x, y)
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError
-        return self.gf.inv(x)
-
-    def sqrt_exact(self, x):
-        return self.gf.sqrt(x)
-
-    def is_square(self, x):
-        return True
-
-    def lift_const(self, bits):
-        return bits
-
-    def lift_data(self, lower_data):
-        raise ValueError("base level has nothing below")
 
 
 class _FracOps:
@@ -541,7 +479,7 @@ class _FracOps:
 @lru_cache(maxsize=None)
 def _ops_key(e: int, level: int):
     if level == 0:
-        return _BaseOps(e)
+        return _gf(e)
     return _FracOps(_ops_key(e, level - 1))
 
 
@@ -568,9 +506,6 @@ class FieldElem:
 
     def is_zero(self) -> bool:
         return self._ops().is_zero(self.data)
-
-    def is_one(self) -> bool:
-        return self.data == self._ops().one
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
@@ -621,8 +556,7 @@ class FieldElem:
             data = _embed_raw(data, self.field.level,
                               self.field.base_exponent, K.base_exponent)
         for lvl in range(self.field.level, K.level):
-            sub = FieldDescriptor(K.base_exponent, K.variables[:lvl + 1],
-                                  K.extension_chain)
+            sub = FieldDescriptor(K.base_exponent, K.variables[:lvl + 1])
             data = _ops(sub).lift_data(data)
         return FieldElem(K, data)
 
@@ -638,7 +572,7 @@ def _embed_raw(data, level, e, e2):
 # ---------------------------------------------------------------------------
 # Valuation and squares.
 
-def valuation_split(x: FieldElem, var: Optional[str] = None):
+def valuation_split(x: FieldElem):
     """Write x = t^v * u with u a unit at the top variable; returns (v, u).
 
     The t-adic valuation at the top Laurent level.  Raises ZeroElement on 0
@@ -646,8 +580,6 @@ def valuation_split(x: FieldElem, var: Optional[str] = None):
     """
     if x.field.level == 0:
         raise ValueError("base-field elements have no Laurent valuation")
-    if var is not None and var != x.field.top_variable:
-        raise ValueError(f"{var!r} is not the top variable of {x.field.render()}")
     if x.is_zero():
         raise ZeroElement("valuation of zero")
     ops = x._ops()
@@ -738,14 +670,6 @@ class WpClass:
         if self.bit is not None:
             return True
         return self.constant.is_tame()
-
-    def trace_bit(self) -> int:
-        if not self.is_tame():
-            raise ValueError("wild class has no trace bit")
-        c = self
-        while c.bit is None:
-            c = c.constant
-        return c.bit
 
     def representative(self) -> FieldElem:
         """An exact element of the tower representing this class."""
@@ -848,7 +772,8 @@ def wp_reduce(a: FieldElem) -> WpClass:
         tail = ops.add(tail, term)
     if not ops.is_zero(tail):
         tn, td = tail
-        assert ops.pval(tn) - ops.pval(td) >= 1, "principal-part extraction broken"
+        if ops.pval(tn) - ops.pval(td) < 1:
+            raise SoundnessError("principal-part extraction broken")
     wild, const, _ = _principal_walk(lo, v, coeffs)
     return WpClass(K, wild=tuple((e, FieldElem(lower, c)) for e, c in wild),
                    constant=wp_reduce(FieldElem(lower, const)))
@@ -859,7 +784,7 @@ def wp_member(a: FieldElem) -> bool:
     return wp_reduce(a).is_zero()
 
 
-def wp_root(a: FieldElem, _iter_cap: int = 128) -> Optional[FieldElem]:
+def wp_root(a: FieldElem) -> Optional[FieldElem]:
     """A rational z with z^2 + z = a, or None.
 
     A returned z is a root.  None does not prove that no rational root
@@ -890,10 +815,8 @@ def wp_root(a: FieldElem, _iter_cap: int = 128) -> Optional[FieldElem]:
     z = z + z0.lift_to(K)
     try:
         r = a + z * z + z
-        for _ in range(_iter_cap):
-            if r.is_zero():
-                assert z * z + z == a
-                return z
+        # each step raises the valuation of r, so the cap ends the loop
+        while not r.is_zero():
             rv, ru = valuation_split(r)
             if rv < 1 or 2 * rv > _degree_cap:
                 # an infinite-series root; not rational within the cap
@@ -901,9 +824,11 @@ def wp_root(a: FieldElem, _iter_cap: int = 128) -> Optional[FieldElem]:
             term = unit_residue(ru).lift_to(K) * t ** rv
             z = z + term
             r = r + term + term * term
+        if z * z + z != a:
+            raise SoundnessError("wp_root result is not a root")
+        return z
     except DegreeOverflow:
         return None
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +870,7 @@ def quad_extend(K: FieldDescriptor, delta: FieldElem) -> ExtensionResult:
         return ExtensionResult("split", K, new_field=K, delta_class=cls)
     if cls.is_tame():
         e = K.base_exponent
-        K2 = FieldDescriptor(2 * e, K.variables,
-                             K.extension_chain + (render_element(delta),))
+        K2 = FieldDescriptor(2 * e, K.variables)
         alpha = _canonical_trace_one(e)
         theta_bits = _gf(2 * e).wp_solve(_embed_base(alpha, e, 2 * e))
         theta = K2.from_base(theta_bits) if theta_bits is not None else None
@@ -967,7 +891,7 @@ def frobenius_components(x: FieldElem) -> dict:
     """
     K = x.field
     if K.level == 0:
-        return {(): FieldElem(K, _gf(K.base_exponent).sqrt(x.data))} \
+        return {(): FieldElem(K, _gf(K.base_exponent).sqrt_exact(x.data))} \
             if x.data else {}
     if x.is_zero():
         return {}
@@ -1067,32 +991,30 @@ class _Tok:
 def parse_field(text: str) -> FieldDescriptor:
     """Parse `F2^e((t1))((t2))...`; F4/F16-style shorthands are accepted."""
     tk = _Tok(text, doubles=True)
-    name = tk.next()
-    if not name or not name.startswith("F"):
+    name = tk.peek()
+    if not name or name[0] != "F" or not name[1:].isdigit():
         tk.fail("a field name like F2 or F2^3")
-    rest = name[1:]
-    if not rest.isdigit():
-        tk.fail("a field name like F2 or F2^3")
-    q = int(rest)
+    q = int(name[1:])
+    e = q.bit_length() - 1
+    if q < 2 or q != 1 << e:
+        tk.fail("a power of two")
+    tk.next()
     if tk.peek() == "^":
         if q != 2:
             tk.fail("only F2^e supports an explicit exponent")
         tk.next()
-        exp_tok = tk.next()
-        if exp_tok is None or not exp_tok.isdigit():
-            tk.fail("an integer exponent")
-        e = int(exp_tok)
-    else:
-        e = q.bit_length() - 1
-        if q != (1 << e) or q < 2:
-            tk.fail("a power of two")
+        exp_tok = tk.peek()
+        if exp_tok is None or not exp_tok.isdigit() or int(exp_tok) < 1:
+            tk.fail("a positive integer exponent")
+        e = int(tk.next())
     varnames = []
     while tk.peek() == "((":
         tk.next()
-        v = tk.next()
-        if not v or not v[0].isalpha():
-            tk.fail("a variable name")
-        varnames.append(v)
+        v = tk.peek()
+        if not v or not v[0].isalpha() or v == "g" or v in varnames:
+            # g names the base generator in element syntax
+            tk.fail("a new variable name other than 'g'")
+        varnames.append(tk.next())
         tk.expect("))")
     if not tk.done():
         tk.fail("end of field declaration")
@@ -1138,16 +1060,18 @@ def _parse_atom(tk: _Tok, K: FieldDescriptor) -> FieldElem:
         x = _parse_expr(tk, K)
         tk.expect(")")
         return x
-    if t is None:
-        tk.fail("an element")
-    tk.next()
-    if t.isdigit():
+    if t is not None and t.isdigit() and int(t) < 1 << K.base_exponent:
+        tk.next()
         return K.from_base(int(t))
-    if t == "g":
+    if t == "g" and K.base_exponent > 1:
+        tk.next()
         return K.generator()
     if t in K.variables:
+        tk.next()
         return K.var(t)
-    tk.fail(f"a variable of {K.render()}, an integer, or 'g'")
+    gen = "'g', " if K.base_exponent > 1 else ""
+    tk.fail(f"a variable of {K.render()}, {gen}or an integer below "
+            f"{1 << K.base_exponent}")
 
 
 def parse_element(K: FieldDescriptor, text: str) -> FieldElem:

@@ -276,10 +276,6 @@ class DiscriminantAlgebra:
     representative: FieldElem
     extension: ExtensionResult
 
-    @property
-    def is_field(self):
-        return self.kind == "field"
-
 
 def discriminant_algebra(phi: QuadraticForm) -> DiscriminantAlgebra:
     alpha = arf_representative(phi)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import Undecided, ZeroScalar
+from .errors import SoundnessError, Undecided, ZeroScalar
 from .fieldtower import FieldDescriptor, FieldElem, render_element
 from .forms import (QuadraticForm, arf, discriminant_algebra,
                     orthogonal_sum, scale)
@@ -23,9 +23,12 @@ from .clifford import splitting_index
 
 __all__ = [
     "PfisterSpec", "NeighborVerdict", "make_pfister",
-    "pfister_hyperbolicity", "neighbor_dim5", "neighbor_dim6",
+    "pfister_hyperbolicity", "neighbor", "neighbor_dim5", "neighbor_dim6",
     "neighbor_high", "default_slot_pool",
 ]
+
+# (lam, spec) candidates that _search_witness tests before giving up
+_SEARCH_BUDGET = 400
 
 
 @dataclass(frozen=True)
@@ -134,31 +137,52 @@ def default_slot_pool(phi: QuadraticForm):
     return pool
 
 
-def _search_witness(phi, fold, slot_pool=None, lam_pool=None, budget=400):
-    """First verified (lam, spec) with phi inside lam * pi, or None."""
-    if slot_pool is None:
-        slot_pool = default_slot_pool(phi)
-    if lam_pool is None:
-        lam_pool = slot_pool
+def _search_witness(phi):
+    """First verified (lam, spec) with phi inside lam * pi for a 3-fold
+    Pfister form pi, or None; slots and lam range over
+    default_slot_pool(phi)."""
+    pool = default_slot_pool(phi)
     tried = 0
-    for slots in itertools.product(slot_pool, repeat=fold - 1):
-        for quad in slot_pool:
+    for slots in itertools.product(pool, repeat=2):
+        for quad in pool:
             spec = PfisterSpec(phi.field, tuple(slots), quad)
             pi = make_pfister(spec)
             vpi = decide_isotropy(pi)
             if not vpi.is_anisotropic:
                 continue
-            for lam in lam_pool:
+            for lam in pool:
                 tried += 1
-                if tried > budget:
+                if tried > _SEARCH_BUDGET:
                     return None
                 if _embeds(phi, scale(lam, pi)):
                     return lam, spec
     return None
 
 
-def neighbor_dim5(phi: QuadraticForm,
-                  slot_pool=None, lam_pool=None) -> NeighborVerdict:
+def _certified_yes(phi, rule):
+    """Yes by a complete criterion, with a witness when the search finds
+    one."""
+    found = _search_witness(phi)
+    if found:
+        return NeighborVerdict("yes", rule, *found)
+    return NeighborVerdict("yes", rule, reason="criterion certified; witness "
+                                               "search exhausted its pool")
+
+
+def neighbor(phi: QuadraticForm) -> Optional[NeighborVerdict]:
+    """The Pfister-neighbor test for phi's dimension; None outside 5..8."""
+    # module-global lookups at call time, so a wrapper installed on the
+    # per-dimension functions sees this dispatch too
+    if phi.dim == 5:
+        return neighbor_dim5(phi)
+    if phi.dim == 6:
+        return neighbor_dim6(phi)
+    if phi.dim in (7, 8):
+        return neighbor_high(phi)
+    return None
+
+
+def neighbor_dim5(phi: QuadraticForm) -> NeighborVerdict:
     """Dimension-5 Pfister-neighbor status: complete via s(phi).
 
     Anisotropic phi is a neighbor iff s(phi) = 1 (equivalently phi is
@@ -175,20 +199,14 @@ def neighbor_dim5(phi: QuadraticForm,
     if not res.resolved:
         return NeighborVerdict("unknown", "splitting-index-undecided",
                                reason=res.rule)
-    assert res.s in (0, 1), f"anisotropic dim-5 with s = {res.s}"
+    if res.s not in (0, 1):
+        raise SoundnessError(f"anisotropic dim-5 with s = {res.s}")
     if res.s == 0:
         return NeighborVerdict("no", "splitting-index-zero")
-    found = _search_witness(phi, 3, slot_pool, lam_pool)
-    if found:
-        lam, spec = found
-        return NeighborVerdict("yes", "splitting-index-one", lam, spec)
-    return NeighborVerdict("yes", "splitting-index-one",
-                           reason="criterion certified; witness search "
-                                  "exhausted its pool")
+    return _certified_yes(phi, "splitting-index-one")
 
 
-def neighbor_dim6(phi: QuadraticForm,
-                  slot_pool=None, lam_pool=None) -> NeighborVerdict:
+def neighbor_dim6(phi: QuadraticForm) -> NeighborVerdict:
     """Dimension-6 neighbors: hyperbolic over the discriminant field.
 
     Albert forms (trivial Arf) are never neighbors; otherwise phi is a
@@ -212,18 +230,11 @@ def neighbor_dim6(phi: QuadraticForm,
         return NeighborVerdict("unknown", "extension-witt-undecided",
                                reason=str(exc))
     if iw == 3:
-        found = _search_witness(phi, 3, slot_pool, lam_pool)
-        if found:
-            lam, spec = found
-            return NeighborVerdict("yes", "hyperbolic-over-Z", lam, spec)
-        return NeighborVerdict("yes", "hyperbolic-over-Z",
-                               reason="criterion certified; witness search "
-                                      "exhausted its pool")
+        return _certified_yes(phi, "hyperbolic-over-Z")
     return NeighborVerdict("no", "not-hyperbolic-over-Z")
 
 
-def neighbor_high(phi: QuadraticForm, candidate=None,
-                  slot_pool=None, lam_pool=None) -> NeighborVerdict:
+def neighbor_high(phi: QuadraticForm, candidate=None) -> NeighborVerdict:
     """Dimensions 7 and 8.
 
     With a candidate (lam, PfisterSpec): verify it; rejection of one
@@ -251,10 +262,9 @@ def neighbor_high(phi: QuadraticForm, candidate=None,
                                    reason="this candidate fails; no global "
                                           "conclusion")
         return NeighborVerdict("unknown", "candidate-undecided")
-    found = _search_witness(phi, 3, slot_pool, lam_pool)
+    found = _search_witness(phi)
     if found:
-        lam, spec = found
-        return NeighborVerdict("yes", "witness-found", lam, spec)
+        return NeighborVerdict("yes", "witness-found", *found)
     return NeighborVerdict("unknown", "witness-search-exhausted",
                            reason="no verified witness in the generator pool")
 

@@ -91,8 +91,8 @@ class WittDecomposition:
     witt_index: int
     kernel: QuadraticForm
     planes: tuple = ()          # replayable description per split
-    exact: bool = True          # False when a split went through a wp-retame
-    trace: tuple = ()
+    # always True: a split that would need a wp-retame raises Undecided
+    exact: bool = True
 
     def to_json(self):
         return {"witt_index": self.witt_index,
@@ -155,7 +155,7 @@ def _finite_decide(phi: QuadraticForm) -> IsotropyVerdict:
     if len(phi.quasilinear) >= 2:
         c1, c2 = phi.quasilinear[0], phi.quasilinear[1]
         gf = _gf(K.base_exponent)
-        r = FieldElem(K, gf.sqrt((c2 / c1).data))
+        r = FieldElem(K, gf.sqrt_exact((c2 / c1).data))
         vec = [zero] * n
         base = 2 * len(phi.blocks)
         vec[base], vec[base + 1] = r, one
@@ -596,14 +596,12 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
     current = phi
     index = 0
     planes = []
-    trace = []
     while True:
         verdict = decide_isotropy(current)
         if verdict.is_unknown:
             raise Undecided(f"witt decomposition stuck: {verdict.reason}")
         if verdict.is_anisotropic:
-            return WittDecomposition(index, current, tuple(planes),
-                                     True, tuple(trace))
+            return WittDecomposition(index, current, tuple(planes))
         cert = verdict.certificate or {}
         if cert.get("kind") == "isotropic-block":
             i = cert["block"]
@@ -612,25 +610,23 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
             planes.append({"kind": "block",
                            "a": render_element(removed[0]),
                            "b": render_element(removed[1])})
-            trace.append({"split": "block", "index": i})
             current = QuadraticForm(current.field, tuple(blocks),
                                     current.quasilinear)
             index += 1
             continue
         if verdict.witness is not None:
-            current = _split_explicit(current, verdict.witness, planes, trace)
+            current = _split_explicit(current, verdict.witness, planes)
             index += 1
             continue
         if cert.get("kind") == "isotropic-plane":
-            current = _split_plane(current, cert["_x"], cert["_y"],
-                                   planes, trace)
+            current = _split_plane(current, cert["_x"], cert["_y"], planes)
             index += 1
             continue
         raise Undecided("isotropic only over the completion "
                         "(wp-retamed support); no rational split")
 
 
-def _split_explicit(phi, witness, planes, trace):
+def _split_explicit(phi, witness, planes):
     """Remove the hyperbolic plane spanned by an explicit witness."""
     K = phi.field
     n = phi.dim
@@ -650,15 +646,13 @@ def _split_explicit(phi, witness, planes, trace):
     planes.append({"kind": "explicit",
                    "v": [render_element(x) for x in v],
                    "u": [render_element(x) for x in u]})
-    trace.append({"split": "explicit"})
     return _complement(phi, v, u)
 
 
-def _split_plane(phi, x0, y0, planes, trace):
+def _split_plane(phi, x0, y0, planes):
     planes.append({"kind": "plane",
                    "x": [render_element(v) for v in x0],
                    "y": [render_element(v) for v in y0]})
-    trace.append({"split": "plane"})
     b = phi.polar(list(x0), list(y0))
     u = [v / b for v in y0]
     return _complement(phi, list(x0), u)

@@ -6,7 +6,11 @@ every corpus is reproducible.  Form generators draw from the tame class
 wild dim<=2 ingredients where a test wants them.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from qf2.fieldtower import FieldDescriptor, FieldElem, parse_field
 from qf2.forms import QuadraticForm
@@ -82,3 +86,13 @@ def random_tame_form(K: FieldDescriptor, rng: random.Random, blocks: int,
                 c = c * K.var(v)
         ql.append(c)
     return QuadraticForm(K, tuple(bl), tuple(ql))
+
+
+def run_optimized(code):
+    """Run code in a `python -O` subprocess that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)

@@ -1,9 +1,12 @@
 """Chow oracle: split tables, CH^2/CH^3 torsion reports, reduction."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from qf2 import pfister
 from qf2.errors import RangeViolation
 from qf2.fieldtower import parse_field
 from qf2.forms import (QuadraticForm, hyperbolic, hyperbolic_plane,
@@ -12,7 +15,7 @@ from qf2.chow import (anisotropic_image_row, chow2_torsion, chow3_torsion,
                       isotropic_reduce, split_chow_structure)
 from qf2.witt import decide_isotropy
 
-from helpers import K1, K2, K3, random_tame_form
+from helpers import K1, K2, K3, random_tame_form, run_optimized
 
 F2 = parse_field("F2")
 
@@ -241,3 +244,55 @@ def test_exact_reports_replay():
         again = fn(form(K, text))
         assert (first.kind, first.order, first.rules) == \
             (again.kind, again.order, again.rules)
+
+
+# --- pinned reports ----------------------------------------------------------
+
+def test_chow_pinned():
+    # tests/data/chow_pinned.json (make_chow_pinned.py) was recorded with
+    # the neighbor dispatch written out in chow2_torsion and the CLI; every
+    # chow2 rule of dimensions 5..8 occurs in it
+    entries = json.loads((Path(__file__).parent / "data" /
+                          "chow_pinned.json").read_text())
+    rules = {r for e in entries for r in e["chow2"]["rules"]}
+    assert {"dim5-not-neighbor", "dim6-albert-torsion-free",
+            "dim6-not-neighbor", "dim78-not-neighbor"} <= rules
+    for e in entries:
+        phi = form(parse_field(e["field"]), e["form"])
+        assert chow2_torsion(phi).to_json() == e["chow2"], e["form"]
+        assert chow3_torsion(phi).to_json() == e["chow3"], e["form"]
+        assert pfister.neighbor(phi).to_json() == e["neighbor"], e["form"]
+
+
+def test_chow2_unknown_neighbor_wording_dims_7_8(monkeypatch):
+    # the pinned corpus leaves out the exhausted witness search (seconds
+    # per form); its wording is checked on a stubbed verdict
+    unknown = pfister.NeighborVerdict("unknown", "witness-search-exhausted",
+                                      reason="no witness")
+    monkeypatch.setattr(pfister, "neighbor_high", lambda phi: unknown)
+    for text, dim in (("[1,1] + s*[1,1] + t*[1,1] + <s*t>", 7),
+                      ("pf(s,t;1)", 8)):
+        r = chow2_torsion(form(K2, text))
+        assert (r.kind, r.rules) == ("AtMost", ("order-bound",))
+        assert r.assumptions == (
+            f"dim-{dim} Pfister-neighbor status unknown: no witness",)
+        assert r.certificates["neighbor"] == unknown.to_json()
+
+
+ORDER_THREE = """
+import sys
+from qf2.chow import ChowReport
+from qf2.errors import SoundnessError
+if not sys.flags.optimize:
+    sys.exit(2)
+try:
+    ChowReport(2, 5, "Exactly", 3, "Z/2", True)
+except SoundnessError:
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+def test_report_order_bound_survives_O():
+    proc = run_optimized(ORDER_THREE)
+    assert proc.returncode == 3, proc.stderr

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from qf2 import fieldtower
-from qf2.cli import Job, build_parser, parse_job, render_text, run_report
+from qf2.cli import (Job, build_parser, main, parse_job, render_text,
+                     run_report)
 from qf2.errors import ParseError
 
 
@@ -77,6 +78,21 @@ def test_exit_codes(tmp_path):
                   "--form", "[1,s*t^-2]+[1,1]+s*[1,1]",
                   "--run", "witt", "--strict"])
     assert undec.returncode == 2
+
+
+@pytest.mark.parametrize("field, text", [
+    ("F2((t))", "[1,5]"),        # integer outside F_2
+    ("F4((t))", "[1,4]"),        # integer outside F_4
+    ("F2((t))", "[1,g]"),        # F_2 has no generator g
+    ("F4((g))", "[1,g]"),        # g names the base generator
+    ("F2((g))", "[1,1]"),
+    ("F2((t))((t))", "[1,t]"),   # repeated variable
+    ("F0((t))", "[1,t]"),
+    ("F2^0((t))", "[1,t]"),
+])
+def test_bad_input_is_a_positioned_parse_error(capsys, field, text):
+    assert main(["--field", field, "--form", text, "--run", "invariants"]) == 1
+    assert capsys.readouterr().err.startswith("parse error: line 1, col ")
 
 
 def test_config_file(tmp_path):

@@ -11,7 +11,7 @@ from qf2.fieldtower import (FieldDescriptor, frobenius_components, is_square,
                             render_element, unit_residue, valuation_split,
                             wp_member, wp_reduce, wp_root)
 
-from helpers import K1, K2, random_elem
+from helpers import K1, K2, random_elem, run_optimized
 
 
 def elem(K, text):
@@ -201,6 +201,30 @@ def test_wp_even_pole_square_coefficient_cascades():
     assert wp_member(t ** -2 + t ** -1)
 
 
+PATCHED_PREFIX = """
+import sys
+from qf2 import fieldtower
+from qf2.errors import SoundnessError
+if not sys.flags.optimize:
+    sys.exit(2)
+K = fieldtower.parse_field("F2((t))")
+prefix = fieldtower._series_prefix
+# keep only the leading coefficient: the discarded tail is the constant 1
+fieldtower._series_prefix = lambda x, upto: (prefix(x, upto)[0],
+                                             prefix(x, upto)[1][:1])
+try:
+    fieldtower.wp_reduce(K.element("t^-1 + 1"))
+except SoundnessError:
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+def test_wp_reduce_principal_part_check_survives_O():
+    proc = run_optimized(PATCHED_PREFIX)
+    assert proc.returncode == 3, proc.stderr
+
+
 def test_wp_member_trivia():
     assert wp_member(K1.zero())
     assert not wp_member(K1.one())  # Tr_F2(1) = 1
@@ -270,6 +294,16 @@ def test_quad_extend_unramified():
     # theta solves T^2 + T = 1 in F_4
     th = r.theta
     assert th * th + th == r.new_field.one()
+
+
+def test_quad_extend_field_equals_parsed_field():
+    # the extended field is the same descriptor as the one the parser
+    # builds, so its elements mix with parsed ones
+    ext = quad_extend(K1, K1.one())
+    K4 = parse_field("F4((t))")
+    assert ext.new_field == K4
+    g = elem(K4, "g")
+    assert ext.embed(K1.var("t")) + g == elem(K4, "t+g")
 
 
 def test_quad_extend_ramified():

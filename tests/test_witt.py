@@ -1,10 +1,7 @@
 """Witt engine: isotropy decisions, decomposition, residues, search oracle."""
 
 import json
-import os
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +18,7 @@ from qf2.forms import (QuadraticForm, arf, hyperbolic, hyperbolic_plane,
 from qf2.witt import (brute_force_search, decide_isotropy, replay_verdict,
                       springer_residues, witt_decompose, witt_index_over_ext)
 
-from helpers import K1, K2, K3, random_tame_form
+from helpers import K1, K2, K3, random_tame_form, run_optimized
 
 F2 = parse_field("F2")
 F4 = parse_field("F4")
@@ -310,16 +307,6 @@ def test_search_forged_collision_raises(monkeypatch):
     monkeypatch.setattr(witt, "_pack", lambda *args: 0)
     with pytest.raises(SoundnessError):
         brute_force_search(form(K1, "[1,1]+t*[1,1]"), 4)
-
-
-def run_optimized(code):
-    """Run code in a `python -O` subprocess that imports this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True)
 
 
 def test_search_forged_collision_raises_under_O():
