@@ -3,7 +3,7 @@
 from .fieldtower import FieldDescriptor
 
 
-def rref(K: FieldDescriptor, rows, ncols=None):
+def rref(rows, ncols=None):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
     Pivot choice is first nonzero entry, so results are deterministic.
@@ -54,7 +54,7 @@ def kernel_basis(K: FieldDescriptor, rows, ncols=None):
         return [[one if j == i else zero for j in range(ncols)]
                 for i in range(ncols)]
     ncols = len(rows[0])
-    red, pivots = rref(K, rows)
+    red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     zero, one = K.zero(), K.one()
@@ -80,7 +80,7 @@ def row_dependency(K: FieldDescriptor, rows):
     # Augment each row with the identity to track combinations.
     work = [list(r) + [one if j == i else zero for j in range(n)]
             for i, r in enumerate(rows)]
-    red, _ = rref(K, work, ncols)
+    red, _ = rref(work, ncols)
     for row in red:
         if all(x.is_zero() for x in row[:ncols]):
             return row[ncols:]

@@ -19,7 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceeded, ParseError, QF2Error, Undecided
-from . import fieldtower
 from .fieldtower import parse_field, render_element
 from .forms import arf, discriminant_algebra, parse_form
 from .witt import brute_force_search, decide_isotropy, witt_decompose
@@ -191,32 +190,26 @@ _RUNNERS = {
 
 def run_report(job: Job) -> dict:
     """Evaluate every requested computation on every form; deterministic."""
-    previous_cap = fieldtower.get_degree_cap()
-    fieldtower.set_degree_cap(max(fieldtower.DEFAULT_DEGREE_CAP,
-                                  4 * job.degree_bound))
-    try:
-        K = parse_field(job.field_text)
-        runs = list(job.runs)
-        if "all" in runs:
-            runs = [c for c in COMPUTATIONS if c != "all"]
-        flags = {"undecided": False}
-        forms_out = []
-        for ft in job.form_texts:
-            phi = parse_form(K, ft)
-            entry = {"input": ft, "form": phi.to_json()}
-            for comp in runs:
-                try:
-                    entry[comp] = _RUNNERS[comp](phi, job, flags)
-                except QF2Error as exc:
-                    entry[comp] = {"error": type(exc).__name__,
-                                   "detail": str(exc)}
-                    flags["undecided"] = True
-            forms_out.append(entry)
-        return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
-                "field": K.render(), "forms": forms_out,
-                "any_undecided": flags["undecided"]}
-    finally:
-        fieldtower.set_degree_cap(previous_cap)
+    K = parse_field(job.field_text)
+    runs = list(job.runs)
+    if "all" in runs:
+        runs = [c for c in COMPUTATIONS if c != "all"]
+    flags = {"undecided": False}
+    forms_out = []
+    for ft in job.form_texts:
+        phi = parse_form(K, ft)
+        entry = {"input": ft, "form": phi.to_json()}
+        for comp in runs:
+            try:
+                entry[comp] = _RUNNERS[comp](phi, job, flags)
+            except QF2Error as exc:
+                entry[comp] = {"error": type(exc).__name__,
+                               "detail": str(exc)}
+                flags["undecided"] = True
+        forms_out.append(entry)
+    return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
+            "field": K.render(), "forms": forms_out,
+            "any_undecided": flags["undecided"]}
 
 
 def render_text(result: dict) -> str:

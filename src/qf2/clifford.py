@@ -301,7 +301,7 @@ def albert_index(psi: QuadraticForm):
         return 2
     if iw == 3:
         return 1
-    raise AssertionError(f"Albert form with impossible Witt index {iw}")
+    raise SoundnessError(f"Albert form with impossible Witt index {iw}")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +560,7 @@ def _splitting_index_anisotropic(phi: QuadraticForm) -> SplittingIndexResult:
             return _interval(6, 1, 4, "dim6-ext-undecided")
         ind = {0: 4, 1: 2, 3: 1}.get(iw)
         if ind is None:
-            raise AssertionError(f"dim-6 over Z with i_W = {iw}")
+            raise SoundnessError(f"dim-6 over Z with i_W = {iw}")
         return _resolved(6, ind, "dim6-over-Z")
     # dim >= 7: the symbol-calculus descriptor carries whatever is certified
     desc = even_clifford_class(phi)

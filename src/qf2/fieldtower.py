@@ -31,25 +31,11 @@ __all__ = [
     "valuation_split", "unit_residue", "is_square", "frobenius_components",
     "wp_reduce", "wp_member", "quad_extend",
     "parse_field", "parse_element", "render_element",
-    "DEFAULT_DEGREE_CAP", "DEFAULT_TOWER_CAP", "set_degree_cap", "get_degree_cap",
+    "DEFAULT_DEGREE_CAP", "DEFAULT_TOWER_CAP",
 ]
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_TOWER_CAP = 4
-
-_degree_cap = DEFAULT_DEGREE_CAP
-
-
-def set_degree_cap(cap: int) -> None:
-    global _degree_cap
-    if cap < 4:
-        raise ValueError("degree cap too small")
-    _degree_cap = cap
-
-
-def get_degree_cap() -> int:
-    return _degree_cap
-
 
 # ---------------------------------------------------------------------------
 # GF(2^e) arithmetic on int bitmasks.
@@ -213,7 +199,7 @@ def _embedding_table(e: int, e2: int):
             rho = cand
             break
     else:
-        raise AssertionError("no root found for embedding")
+        raise SoundnessError("no root found for embedding")
     table, acc = [], 1
     for _ in range(e):
         table.append(acc)
@@ -343,8 +329,9 @@ class _FracOps:
         if q == (self.lower.one,):
             return p
         deg = len(p) + len(q) - 2
-        if deg > _degree_cap:
-            raise DegreeOverflow(f"degree {deg} exceeds cap {_degree_cap}")
+        if deg > DEFAULT_DEGREE_CAP:
+            raise DegreeOverflow(
+                f"degree {deg} exceeds cap {DEFAULT_DEGREE_CAP}")
         out = [self.lower.zero] * (deg + 1)
         for i, a in enumerate(p):
             if self.lower.is_zero(a):
@@ -705,7 +692,7 @@ def _canonical_trace_one(e: int) -> int:
     for x in range(1, gf.q):
         if gf.trace(x) == 1:
             return x
-    raise AssertionError("no trace-one element")
+    raise SoundnessError("no trace-one element")
 
 
 def _principal_walk(lo, v, coeffs):
@@ -818,7 +805,7 @@ def wp_root(a: FieldElem) -> Optional[FieldElem]:
         # each step raises the valuation of r, so the cap ends the loop
         while not r.is_zero():
             rv, ru = valuation_split(r)
-            if rv < 1 or 2 * rv > _degree_cap:
+            if rv < 1 or 2 * rv > DEFAULT_DEGREE_CAP:
                 # an infinite-series root; not rational within the cap
                 return None
             term = unit_residue(ru).lift_to(K) * t ** rv
@@ -847,7 +834,6 @@ class ExtensionResult:
     field: FieldDescriptor
     new_field: Optional[FieldDescriptor] = None
     theta: Optional[FieldElem] = None
-    delta_class: Optional[WpClass] = None
 
     @property
     def is_supported(self) -> bool:
@@ -867,16 +853,15 @@ def quad_extend(K: FieldDescriptor, delta: FieldElem) -> ExtensionResult:
         raise FieldMismatch("delta not over K")
     cls = wp_reduce(delta)
     if cls.is_zero():
-        return ExtensionResult("split", K, new_field=K, delta_class=cls)
+        return ExtensionResult("split", K, new_field=K)
     if cls.is_tame():
         e = K.base_exponent
         K2 = FieldDescriptor(2 * e, K.variables)
         alpha = _canonical_trace_one(e)
         theta_bits = _gf(2 * e).wp_solve(_embed_base(alpha, e, 2 * e))
         theta = K2.from_base(theta_bits) if theta_bits is not None else None
-        return ExtensionResult("unramified", K, new_field=K2, theta=theta,
-                               delta_class=cls)
-    return ExtensionResult("ramified", K, delta_class=cls)
+        return ExtensionResult("unramified", K, new_field=K2, theta=theta)
+    return ExtensionResult("ramified", K)
 
 
 # ---------------------------------------------------------------------------

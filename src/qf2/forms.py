@@ -90,21 +90,6 @@ class QuadraticForm:
             i += 2
         return acc
 
-    def gram(self) -> "GramInput":
-        n = self.dim
-        zero = self.field.zero()
-        g = [[zero] * n for _ in range(n)]
-        i = 0
-        for a, b in self.blocks:
-            g[i][i] = a
-            g[i + 1][i + 1] = b
-            g[i][i + 1] = self.field.one()
-            i += 2
-        for c in self.quasilinear:
-            g[i][i] = c
-            i += 1
-        return GramInput(self.field, tuple(tuple(r) for r in g))
-
     def __str__(self):
         return render_form(self)
 

@@ -39,10 +39,6 @@ class PfisterSpec:
     bilinear_slots: tuple
     quadratic_slot: FieldElem
 
-    @property
-    def fold(self) -> int:
-        return len(self.bilinear_slots) + 1
-
     def render(self) -> str:
         slots = ",".join(render_element(a) for a in self.bilinear_slots)
         return f"pf({slots};{render_element(self.quadratic_slot)})"
@@ -54,7 +50,8 @@ class PfisterSpec:
 
 
 def make_pfister(spec: PfisterSpec) -> QuadraticForm:
-    """Expand the spec to a quadratic form of dimension 2^fold.
+    """Expand the spec to a quadratic form of dimension 2^n, where n - 1 is
+    the number of bilinear slots.
 
     Scaling is applied on the left throughout: the slot list multiplies
     outside-in, pi -> pi + a*pi."""

@@ -38,23 +38,14 @@ __all__ = [
 ]
 
 
-def _strip_private(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_private(v) for k, v in obj.items()
-                if not k.startswith("_")}
-    if isinstance(obj, (list, tuple)):
-        return [_strip_private(v) for v in obj]
-    return obj
-
-
 @dataclass(frozen=True)
 class IsotropyVerdict:
     """Outcome of an isotropy decision.
 
     kind: "isotropic" | "anisotropic" | "unknown".  witness: explicit zero
     vector when one exists in the fraction field.  certificate: replayable
-    evidence; keys starting with "_" hold exact elements and are dropped
-    from the JSON rendering.
+    evidence, rendered as is.  plane: the exact (x0, y0) of an
+    "isotropic-plane" certificate.
     """
 
     kind: str
@@ -62,6 +53,7 @@ class IsotropyVerdict:
     witness: Optional[tuple] = None
     certificate: Optional[dict] = None
     reason: str = ""
+    plane: Optional[tuple] = None
 
     @property
     def is_isotropic(self):
@@ -80,7 +72,7 @@ class IsotropyVerdict:
         if self.witness is not None:
             out["witness"] = [render_element(x) for x in self.witness]
         if self.certificate is not None:
-            out["certificate"] = _strip_private(self.certificate)
+            out["certificate"] = self.certificate
         if self.reason:
             out["reason"] = self.reason
         return out
@@ -98,7 +90,7 @@ class WittDecomposition:
         return {"witt_index": self.witt_index,
                 "kernel": self.kernel.to_json(),
                 "exact": self.exact,
-                "planes": [_strip_private(p) for p in self.planes]}
+                "planes": list(self.planes)}
 
 
 @dataclass(frozen=True)
@@ -496,9 +488,8 @@ def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
         y0[partner] = K.one()
         return _plane_verdict(phi, x0, y0,
                               {"variable": K.top_variable, "side": side})
-    if inner.get("kind") == "isotropic-plane":
-        x0 = lift_vec(inner["_x"])
-        y0 = lift_vec(inner["_y"])
+    if vres.plane is not None:
+        x0, y0 = map(lift_vec, vres.plane)
         if x0 is None or y0 is None:
             return _support_only(phi, layout, side, vres, coords)
         return _plane_verdict(phi, x0, y0,
@@ -518,11 +509,9 @@ def _support_only(phi, layout, side, vres, coords):
     if vres.witness is not None:
         support = [coords[rc] for rc, x in enumerate(vres.witness)
                    if not x.is_zero()]
-    elif "_x" in inner:
-        support = sorted({coords[rc] for rc, x in enumerate(inner["_x"])
-                          if not x.is_zero()}
-                         | {coords[rc] for rc, x in enumerate(inner["_y"])
-                            if not x.is_zero()})
+    elif vres.plane is not None:
+        support = sorted({coords[rc] for vec in vres.plane
+                          for rc, x in enumerate(vec) if not x.is_zero()})
     elif inner.get("kind") == "residue-isotropy":
         support = sorted({coords[rc] for rc in inner["support"]})
     else:
@@ -550,9 +539,9 @@ def _plane_verdict(phi, x0, y0, extra) -> IsotropyVerdict:
     cert = {"kind": "isotropic-plane",
             "x": [render_element(v) for v in x0],
             "y": [render_element(v) for v in y0],
-            "plane_product": render_element(w),
-            "_x": tuple(x0), "_y": tuple(y0), **extra}
-    return IsotropyVerdict("isotropic", phi, certificate=cert)
+            "plane_product": render_element(w), **extra}
+    return IsotropyVerdict("isotropic", phi, certificate=cert,
+                           plane=(tuple(x0), tuple(y0)))
 
 
 def replay_verdict(v: IsotropyVerdict) -> bool:
@@ -568,7 +557,7 @@ def replay_verdict(v: IsotropyVerdict) -> bool:
         a, b = v.form.blocks[cert["block"]]
         return wp_member(a * b)
     if kind == "isotropic-plane":
-        x0, y0 = cert["_x"], cert["_y"]
+        x0, y0 = v.plane
         b = v.form.polar(x0, y0)
         if b.is_zero():
             return False
@@ -618,8 +607,8 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
             current = _split_explicit(current, verdict.witness, planes)
             index += 1
             continue
-        if cert.get("kind") == "isotropic-plane":
-            current = _split_plane(current, cert["_x"], cert["_y"], planes)
+        if verdict.plane is not None:
+            current = _split_plane(current, *verdict.plane, planes)
             index += 1
             continue
         raise Undecided("isotropic only over the completion "
@@ -672,7 +661,7 @@ def _complement(phi, v, u):
         cu = phi.polar(w, u)
         cv = phi.polar(w, v)
         rest.append([w[m] + cu * v[m] + cv * u[m] for m in range(n)])
-    red, pivots = rref(K, rest)
+    red, pivots = rref(rest)
     basis = [red[i] for i in range(len(pivots))]
     if len(basis) != n - 2:
         raise SoundnessError("complement has wrong dimension")

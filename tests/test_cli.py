@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from qf2 import fieldtower
 from qf2.cli import (Job, build_parser, main, parse_job, render_text,
                      run_report)
 from qf2.errors import ParseError
@@ -42,11 +41,18 @@ def test_run_report_deterministic():
     assert r1 == r2
 
 
-def test_run_report_restores_degree_cap():
-    before = fieldtower.get_degree_cap()
-    run_report(parse_job("field F2((t)); form [1,t]; run invariants",
-                         Job(degree_bound=20)))
-    assert fieldtower.get_degree_cap() == before
+def test_degree_bound_drives_only_the_search():
+    def report(bound):
+        rep = run_report(parse_job(
+            "field F2((s))((t)); form [1,1]+s*[1,1]+<t>; run all",
+            Job(degree_bound=bound)))
+        del rep["job"]["limits"]["degree_bound"]
+        witt = rep["forms"][0]["witt"]
+        del witt["search_witness"]
+        witt.pop("search_budget_exhausted", None)
+        return rep
+
+    assert report(6) == report(20)
 
 
 def test_witt_report_content():

@@ -3,10 +3,12 @@
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from qf2.errors import DimensionCap, NotAlbert
+from qf2 import clifford
+from qf2.errors import DimensionCap, NotAlbert, SoundnessError
 from qf2.fieldtower import parse_field, render_element
 from qf2.forms import (GramInput, QuadraticForm, arf, hyperbolic,
                        hyperbolic_plane, normal_form, orthogonal_sum,
@@ -16,7 +18,7 @@ from qf2.clifford import (_generators, albert_index, build_clifford,
                           quaternion_splits, splitting_index)
 from qf2.witt import witt_decompose
 
-from helpers import K1, K2, K3, random_tame_form, random_unit
+from helpers import K1, K2, K3, random_tame_form, random_unit, run_optimized
 
 F2 = parse_field("F2")
 
@@ -227,6 +229,37 @@ def test_albert_rows():
 def test_albert_requires_trivial_arf():
     with pytest.raises(NotAlbert):
         albert_index(form(K2, "[1,1]+s*[1,1]+t*[1,1]"))
+
+
+IMPOSSIBLE_ALBERT = """
+import sys
+from types import SimpleNamespace
+from qf2 import clifford
+from qf2.errors import SoundnessError
+from qf2.fieldtower import parse_field
+from qf2.forms import hyperbolic
+if not sys.flags.optimize:
+    sys.exit(2)
+clifford.witt_decompose = lambda phi: SimpleNamespace(witt_index=2)
+try:
+    clifford.albert_index(hyperbolic(parse_field("F2"), 3))
+except SoundnessError:
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+def test_albert_impossible_witt_index_raises(monkeypatch):
+    # an Albert form has i_W in {0, 1, 3}; a reported 2 must be refused
+    monkeypatch.setattr(clifford, "witt_decompose",
+                        lambda phi: SimpleNamespace(witt_index=2))
+    with pytest.raises(SoundnessError):
+        albert_index(hyperbolic(F2, 3))
+
+
+def test_albert_impossible_witt_index_raises_under_O():
+    proc = run_optimized(IMPOSSIBLE_ALBERT)
+    assert proc.returncode == 3, proc.stderr
 
 
 def _tame_isometric_copy(phi, rng):

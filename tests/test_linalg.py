@@ -88,4 +88,4 @@ def test_rref_sparse_rows_match_dense_elimination():
         rows = [[random_elem(K2, rng, deg=1) if rng.random() < 0.4
                  else K2.zero() for _ in range(ncols)]
                 for _ in range(rng.randint(1, 5))]
-        assert rref(K2, rows) == dense_rref(rows)
+        assert rref(rows) == dense_rref(rows)

@@ -1,5 +1,6 @@
 """Witt engine: isotropy decisions, decomposition, residues, search oracle."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -46,6 +47,21 @@ def test_wp_block_isotropy():
     assert v.is_isotropic
     assert v.certificate["kind"] == "isotropic-block"
     assert replay_verdict(v)
+
+
+def test_isotropic_plane_carries_exact_plane():
+    phi = form(K1, "[1,1]+<t+1>")
+    v = decide_isotropy(phi)
+    assert v.certificate["kind"] == "isotropic-plane"
+    x0, y0 = v.plane
+    assert [render_element(c) for c in x0] == v.certificate["x"]
+    assert [render_element(c) for c in y0] == v.certificate["y"]
+    assert not any(k.startswith("_") for k in v.certificate)
+    assert json.loads(json.dumps(v.to_json()))["certificate"] == v.certificate
+    assert replay_verdict(v)
+    # b(x0, x0) = 0 in characteristic 2: a degenerate plane must not replay
+    assert not replay_verdict(dataclasses.replace(v, plane=(x0, x0)))
+    assert witt_decompose(phi).witt_index == 1
 
 
 def test_quasilinear_four_independent():
