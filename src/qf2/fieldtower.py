@@ -14,6 +14,14 @@ Conventions:
   * addition is its own inverse (characteristic 2);
   * the degree of any intermediate polynomial is capped (DegreeOverflow)
     so that fraction blow-up stays observable.
+
+Level 1 over F_2, where every coefficient is 0 or 1, is computed on packed
+ints (_F2tOps): one coefficient per byte, so that a product is one integer
+multiplication masked to the low bit of each byte.  Its raw data is the same
+(num, den) tuples of 0/1 ints as at every other level, and its products
+test the degree cap exactly where the generic code does.  The cap also
+bounds how many coefficient pairs meet in one byte of a product, so that no
+byte carries into the next; an import-time check keeps that bound true.
 """
 
 from __future__ import annotations
@@ -66,6 +74,19 @@ def _poly2_divmod(a: int, b: int):
     return q, a
 
 
+def _poly2_rem(a: int, b: int) -> int:
+    """a mod b, by shift-and-XOR; with no quotient built it is the cheaper
+    step of a gcd."""
+    if b == 0:
+        raise ZeroDivisionError
+    db = b.bit_length()
+    sh = a.bit_length() - db
+    while sh >= 0:
+        a ^= b << sh
+        sh = a.bit_length() - db
+    return a
+
+
 @lru_cache(maxsize=None)
 def _modulus(e: int) -> int:
     """Smallest irreducible polynomial of degree e over F_2, as a bitmask.
@@ -75,7 +96,7 @@ def _modulus(e: int) -> int:
     candidates (x included, so every even candidate).
     """
     for f in range(1 << e, 1 << (e + 1)):
-        if all(_poly2_divmod(f, d)[1] for d in range(2, 1 << (e // 2 + 1))):
+        if all(_poly2_rem(f, d) for d in range(2, 1 << (e // 2 + 1))):
             return f
 
 
@@ -106,7 +127,7 @@ class _GF2e:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return a & b
-        return _poly2_divmod(_poly2_mul(a, b), self.mod)[1]
+        return _poly2_rem(_poly2_mul(a, b), self.mod)
 
     def square(self, a: int) -> int:
         return self.mul(a, a)
@@ -179,27 +200,68 @@ def _gf(e: int) -> _GF2e:
     return _GF2e(e)
 
 
+def _modulus_root(e: int, e2: int) -> int:
+    """One root of modulus(e) in F_{2^e2} (e | e2), by equal-degree splitting.
+
+    modulus(e) is a product of distinct linear factors over F_{2^e2}.  For a
+    factor f of degree >= 2 and alpha in F_{2^e2}, the gcd of f and
+    T(x) = Tr(alpha*x) = sum_i alpha^(2^i) x^(2^i) (i < e2) mod f is the
+    product of the x - r with Tr(alpha*r) = 0.  Two distinct roots r, r'
+    fall on different sides for any alpha with Tr(alpha*(r + r')) = 1, and
+    the basis 1, g, ..., g^(e2-1) holds such an alpha because the trace
+    form is nondegenerate; so trying the basis in order always splits f.
+    Each split keeps the factor of smaller degree (the gcd on a tie), until
+    a monic x + c is left, whose root is c.  The products stay inside the
+    degree cap for e <= 33.
+    """
+    big = _gf(e2)
+    ops = _FracOps(big)
+    mod = _modulus(e)
+    f = tuple((mod >> i) & 1 for i in range(e + 1))
+    while len(f) > 2:
+        x_powers = [(0, 1)]                 # x^(2^i) mod f, i < e2
+        for _ in range(e2 - 1):
+            p = x_powers[-1]
+            x_powers.append(ops.pdivmod(ops.pmul(p, p), f)[1])
+        for k in range(e2):
+            alpha, trace = 1 << k, ()
+            for p in x_powers:
+                trace = ops.padd(trace, ops.pscale(p, alpha))
+                alpha = big.mul(alpha, alpha)
+            g = ops.pgcd(f, trace)
+            if 1 < len(g) < len(f):
+                break
+        else:
+            raise SoundnessError("no splitting element for the modulus")
+        h = ops.pdivmod(f, g)[0]
+        f = g if len(g) <= len(h) else h
+    return f[0]
+
+
 @lru_cache(maxsize=None)
 def _embedding_table(e: int, e2: int):
-    """Powers rho^i (i < e) of a root rho of modulus(e) inside F_{2^e2}."""
+    """Powers rho^i (i < e) of a root rho of modulus(e) inside F_{2^e2}.
+
+    rho is the least root as an int.  The roots are the e Frobenius
+    conjugates of the one _modulus_root finds, so rho is the least of those.
+    """
     if e2 % e != 0:
         raise FieldMismatch(f"F_2^{e} does not embed in F_2^{e2}")
     if e == 1:
         return (1,)
     big = _gf(e2)
+    conjugates = [_modulus_root(e, e2)]
+    for _ in range(e - 1):
+        conjugates.append(big.square(conjugates[-1]))
+    rho = min(conjugates)
     mod = _modulus(e)
-    deg = e
-    for cand in range(big.q):
-        acc, val = 1, 0
-        for i in range(deg + 1):
-            if (mod >> i) & 1:
-                val ^= acc
-            acc = big.mul(acc, cand)
-        if val == 0:
-            rho = cand
-            break
-    else:
-        raise SoundnessError("no root found for embedding")
+    acc, val = 1, 0
+    for i in range(e + 1):
+        if (mod >> i) & 1:
+            val ^= acc
+        acc = big.mul(acc, rho)
+    if val != 0:
+        raise SoundnessError("embedding root is not a root of the modulus")
     table, acc = [], 1
     for _ in range(e):
         table.append(acc)
@@ -463,10 +525,104 @@ class _FracOps:
         return self.canon(n, (self.lower.zero,) * (-k) + d)
 
 
+# ---------------------------------------------------------------------------
+# Level 1 over F_2 on packed ints.
+#
+# A polynomial over F_2 is packed one coefficient per byte, coefficient i in
+# byte i.  Byte k of the integer product of two packed polynomials counts the
+# pairs i + j = k with p_i = q_j = 1, so the F_2 product is that product
+# masked with 0x0101...01, as long as no count carries into the next byte.
+# A product is formed only once pmul's cap test has passed, so the factors
+# have len(p) + len(q) <= DEFAULT_DEGREE_CAP + 2 coefficients and a count is
+# at most DEFAULT_DEGREE_CAP // 2 + 1.
+
+if DEFAULT_DEGREE_CAP // 2 + 1 >= 256:
+    raise SoundnessError(
+        f"degree cap {DEFAULT_DEGREE_CAP} lets a packed F_2[t] product "
+        f"carry between bytes")
+
+_LOW_BITS = int.from_bytes(b"\x01" * (DEFAULT_DEGREE_CAP + 1), "little")
+
+
+def _pack(p) -> int:
+    return int.from_bytes(bytes(p), "little")
+
+
+def _unpack(x: int) -> tuple:
+    return tuple(x.to_bytes((x.bit_length() + 7) >> 3, "little"))
+
+
+class _F2tOps(_FracOps):
+    """The level-1 ops over F_2, computed on packed ints.
+
+    Takes and returns the same raw data as _FracOps(_gf(1)): (num, den)
+    tuples of 0/1 ints.  _times keeps the generic pmul's early-outs and cap
+    test, and pmul, add and mul call it on the same products in the same
+    order, so every DegreeOverflow fires where the generic code raises it.  The
+    other polynomial methods are the generic ones: at this level they are
+    reached only from the generic add, mul and canon, which are overridden.
+    """
+
+    def _times(self, p, q) -> int:
+        """The packed product p*q, with the generic pmul's early-outs and
+        cap test."""
+        if not p or not q:
+            return 0
+        if p == (1,):
+            return _pack(q)
+        if q == (1,):
+            return _pack(p)
+        deg = len(p) + len(q) - 2
+        if deg > DEFAULT_DEGREE_CAP:
+            raise DegreeOverflow(
+                f"degree {deg} exceeds cap {DEFAULT_DEGREE_CAP}")
+        return _pack(p) * _pack(q) & _LOW_BITS
+
+    def _canon_packed(self, num: int, den: int):
+        if not den:
+            raise ZeroDivisionError
+        if not num:
+            return self.zero
+        if den == 1:
+            return (_unpack(num), (1,))
+        g, b = num, den
+        while b:
+            g, b = b, _poly2_rem(g, b)
+        if g != 1:
+            num = _poly2_divmod(num, g)[0]
+            den = _poly2_divmod(den, g)[0]
+        return (_unpack(num), _unpack(den))
+
+    def pmul(self, p, q):
+        return _unpack(self._times(p, q))
+
+    def canon(self, num, den):
+        return self._canon_packed(_pack(num), _pack(den))
+
+    def add(self, x, y):
+        (n1, d1), (n2, d2) = x, y
+        if d1 == d2:
+            return self._canon_packed(_pack(n1) ^ _pack(n2), _pack(d1))
+        return self._canon_packed(
+            self._times(n1, d2) ^ self._times(n2, d1), self._times(d1, d2))
+
+    def mul(self, x, y):
+        (n1, d1), (n2, d2) = x, y
+        return self._canon_packed(self._times(n1, n2), self._times(d1, d2))
+
+    def inv(self, x):
+        n, d = x
+        if not n:
+            raise ZeroDivisionError
+        return self._canon_packed(_pack(d), _pack(n))
+
+
 @lru_cache(maxsize=None)
 def _ops_key(e: int, level: int):
     if level == 0:
         return _gf(e)
+    if e == 1 and level == 1:
+        return _F2tOps(_gf(1))
     return _FracOps(_ops_key(e, level - 1))
 
 

@@ -1,11 +1,14 @@
 """Field-tower arithmetic: exactness, valuations, squares, wp classes."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qf2.errors import ZeroElement
+from qf2 import fieldtower
+from qf2.errors import DegreeOverflow, ZeroElement
 from qf2.fieldtower import (FieldDescriptor, frobenius_components, is_square,
                             parse_element, parse_field, quad_extend,
                             render_element, unit_residue, valuation_split,
@@ -380,3 +383,204 @@ def test_wp_membership_of_images_bulk():
         for _ in range(1000):
             g = random_elem(K, rng, deg=1)
             assert wp_member(g * g + g)
+
+
+# --- pinned kernel outputs --------------------------------------------------------
+
+def test_kernel_pinned():
+    # tests/data/kernel_pinned.json (make_kernel_pinned.py) was recorded
+    # with the generic _FracOps at every level, before level 1 over F2 was
+    # computed on packed ints; 45 of its 300 items overflow
+    entries = json.loads((Path(__file__).parent / "data" /
+                          "kernel_pinned.json").read_text())
+    assert len(entries) == 300
+    assert sum("overflow" in e for e in entries) == 45
+    for e in entries:
+        K = parse_field(e["field"])
+        na, da, nb, db = (parse_element(K, p) for p in e["polys"])
+        try:
+            a = na / da
+            b = nb / db
+            got = {"x": render_element(a * b + a / b),
+                   "y": render_element(a ** 2 + b),
+                   "square": is_square(a)[0],
+                   "wp": wp_reduce(a).to_json(),
+                   "val": valuation_split(a)[0]}
+        except DegreeOverflow as exc:
+            got = {"overflow": str(exc)}
+        want = {k: v for k, v in e.items()
+                if k not in ("field", "degree", "polys")}
+        assert got == want, (e["field"], e["polys"])
+
+
+# --- packed level 1 over F2 against the generic level ----------------------------
+
+PACKED_METHODS = ("pmul", "canon", "add", "mul", "inv")
+
+
+def _outcome(ops, name, args):
+    try:
+        return "ok", getattr(ops, name)(*args)
+    except (DegreeOverflow, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def packed_level_mismatches(seed, rounds):
+    """(method, args) on which the packed level-1 ops over F2 and a directly
+    built generic _FracOps(_gf(1)) disagree; each call must return an equal
+    value, or raise the same exception with the same message on both.
+
+    Polynomials are trimmed 0/1 tuples of degree 0..40, or (); products of
+    such polynomials cross the degree cap, so the overflow points are
+    compared too.  Returns [] when the two agree.
+    """
+    generic = fieldtower._FracOps(fieldtower._gf(1))
+    packed = fieldtower._ops_key(1, 1)
+    rng = random.Random(seed)
+
+    def poly(nonzero=False):
+        if not nonzero and rng.random() < 0.05:
+            return ()
+        return tuple(rng.randrange(2) for _ in range(rng.randrange(41))) + (1,)
+
+    def frac():
+        return generic.canon(poly(), poly(nonzero=True))
+
+    bad = []
+    seen = dict.fromkeys(PACKED_METHODS, 0)
+    for _ in range(rounds):
+        p, q, r = poly(), poly(), poly(nonzero=True)
+        x, y = frac(), frac()
+        calls = (("pmul", (p, q)), ("pmul", ((1,), p)),
+                 ("canon", (p, r)), ("canon", (p, ())),
+                 ("add", (x, y)), ("add", (x, (p, x[1]))), ("mul", (x, y)),
+                 ("inv", (x,)))
+        for name, args in calls:
+            seen[name] += 1
+            if _outcome(generic, name, args) != _outcome(packed, name, args):
+                bad.append((name, args))
+    overridden = {n for n in vars(type(packed)) if not n.startswith("_")}
+    if overridden != set(PACKED_METHODS) or not all(seen.values()):
+        bad.append(("setup", ()))
+    return bad
+
+
+def test_packed_level_matches_generic():
+    assert packed_level_mismatches(8, 400) == []
+
+
+def test_packed_level_cap_boundary():
+    generic = fieldtower._FracOps(fieldtower._gf(1))
+    packed = fieldtower._ops_key(1, 1)
+    ones32, ones33 = (1,) * 33, (1,) * 34   # degree 32: 33 pairs at t^32
+    assert packed.pmul(ones32, ones32) == generic.pmul(ones32, ones32)
+    assert len(packed.pmul(ones32, ones32)) == 65       # degree 64
+    for ops in (generic, packed):
+        with pytest.raises(DegreeOverflow) as exc:
+            ops.pmul(ones32, ones33)
+        assert str(exc.value) == "degree 65 exceeds cap 64"
+        with pytest.raises(DegreeOverflow) as exc:
+            ops.mul((ones32, (1,)), (ones33, (1,)))
+        assert str(exc.value) == "degree 65 exceeds cap 64"
+    rng = random.Random(70)
+    p70 = tuple(rng.randrange(2) for _ in range(70)) + (1,)
+    for ops in (generic, packed):
+        assert ops.pmul((1,), p70) == p70 and ops.pmul(p70, (1,)) == p70
+        assert ops.mul(((1,), (1,)), (p70, (1,))) == (p70, (1,))
+
+
+PACKED_UNDER_O = """
+import sys
+sys.path.insert(0, {tests!r})
+from test_fieldtower import packed_level_mismatches
+if not sys.flags.optimize:
+    sys.exit(2)
+sys.exit(3 if packed_level_mismatches(9, 100) else 0)
+"""
+
+
+def test_packed_level_matches_generic_under_O():
+    proc = run_optimized(PACKED_UNDER_O.format(
+        tests=str(Path(__file__).resolve().parent)))
+    assert proc.returncode == 0, proc.stderr
+
+
+CARRY_GUARD = """
+import sys
+import types
+from pathlib import Path
+import qf2.fieldtower as ft
+from qf2.errors import SoundnessError
+if not sys.flags.optimize:
+    sys.exit(2)
+source = Path(ft.__file__).read_text()
+if "DEFAULT_DEGREE_CAP = 64\\n" not in source:
+    sys.exit(4)
+
+def load(cap):
+    mod = types.ModuleType("qf2.fieldtower_probe")
+    mod.__package__ = "qf2"
+    sys.modules[mod.__name__] = mod
+    code = source.replace("DEFAULT_DEGREE_CAP = 64\\n",
+                          f"DEFAULT_DEGREE_CAP = {cap}\\n")
+    exec(compile(code, ft.__file__, "exec"), mod.__dict__)
+
+load(508)            # at most 255 pairs per byte: no carry
+try:
+    load(510)        # 256 pairs would carry into the next byte
+except SoundnessError:
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+def test_packed_carry_guard_raises_under_O():
+    proc = run_optimized(CARRY_GUARD)
+    assert proc.returncode == 3, proc.stderr
+
+
+# --- embedding root ---------------------------------------------------------------
+
+def scan_embedding_table(e, e2):
+    """The embedding table by scanning F_{2^e2} for the least root of
+    modulus(e), element by element."""
+    big = fieldtower._gf(e2)
+    mod = fieldtower._modulus(e)
+    for rho in range(big.q):
+        acc, val = 1, 0
+        for i in range(e + 1):
+            if (mod >> i) & 1:
+                val ^= acc
+            acc = big.mul(acc, rho)
+        if val == 0:
+            break
+    table, acc = [], 1
+    for _ in range(e):
+        table.append(acc)
+        acc = big.mul(acc, rho)
+    return tuple(table)
+
+
+def test_embedding_table_matches_scan():
+    pairs = [(e, e2) for e2 in range(1, 11) for e in range(1, e2 + 1)
+             if e2 % e == 0]
+    assert len(pairs) == 27
+    for e, e2 in pairs:
+        assert fieldtower._embedding_table(e, e2) == \
+            scan_embedding_table(e, e2), (e, e2)
+
+
+def test_discriminant_algebra_over_F2_12_is_fast():
+    # the scan took about 45 s here: F_2^24 has 2^24 elements
+    from time import perf_counter
+    from qf2.forms import discriminant_algebra, parse_form
+    K = parse_field("F2^12((t))")
+    x = fieldtower._canonical_trace_one(12)
+    t0 = perf_counter()
+    disc = discriminant_algebra(parse_form(K, f"[1,{x}]"))
+    assert perf_counter() - t0 < 2.0
+    assert disc.kind == "field"
+    ext = disc.extension
+    assert ext.new_field == FieldDescriptor(24, ("t",))
+    alpha = ext.embed(K.from_base(x))
+    assert ext.theta * ext.theta + ext.theta == alpha
