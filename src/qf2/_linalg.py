@@ -42,31 +42,6 @@ def rref(rows, ncols=None):
     return rows, pivots
 
 
-def kernel_basis(K: FieldDescriptor, rows, ncols=None):
-    """Basis of the right kernel {x : rows . x = 0}.
-
-    ncols must be given when rows may be empty (no constraints: full space).
-    """
-    if not rows:
-        if ncols is None:
-            return []
-        one, zero = K.one(), K.zero()
-        return [[one if j == i else zero for j in range(ncols)]
-                for i in range(ncols)]
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    zero, one = K.zero(), K.one()
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = red[r][f]
-        basis.append(vec)
-    return basis
-
-
 def row_dependency(K: FieldDescriptor, rows):
     """Coefficients lam (not all zero) with sum lam_i * row_i = 0, or None.
 

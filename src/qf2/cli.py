@@ -22,8 +22,9 @@ from .errors import BudgetExceeded, ParseError, QF2Error, Undecided
 from .fieldtower import parse_field, render_element
 from .forms import arf, discriminant_algebra, parse_form
 from .witt import brute_force_search, decide_isotropy, witt_decompose
-from .clifford import (build_clifford, center_and_idempotents,
-                       even_clifford_class, splitting_index)
+from .clifford import (DEFAULT_DIMENSION_CAP, build_clifford,
+                       center_and_idempotents, even_clifford_class,
+                       splitting_index)
 from .pfister import neighbor
 from .chow import chow2_torsion, chow3_torsion
 
@@ -153,7 +154,7 @@ def _run_clifford(phi, job, flags):
         out["even_clifford_class"] = desc.to_json()
     except QF2Error as exc:
         out["even_clifford_class"] = {"error": str(exc)}
-    if phi.dim <= 8:
+    if phi.dim <= DEFAULT_DIMENSION_CAP:
         algebra = build_clifford(phi, even_only=phi.is_nonsingular)
         out["algebra_dim"] = algebra.dim
         centre = center_and_idempotents(algebra)

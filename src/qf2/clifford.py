@@ -1,6 +1,11 @@
 """Clifford algebras as structure-constant algebras, and the splitting-index
 machinery that reduces index computations to Witt indices.
 
+The centre of C(phi) or C_0(phi) is read off the form: its quasilinear rank,
+and the Arf representative delta with centre K[T]/(T^2 + T + delta).  The
+multiplication table checks that reading (u^2 + u = delta, e^2 = e); no
+linear system is solved for the centre.
+
 Index computation never does generic central-simple-algebra arithmetic: a
 nonsingular block [a,b] has Clifford algebra the quaternion symbol (ab, a]
 (generators u, v with u^2 + u = ab, v^2 = a, vu = (u+1)v), an even form is a
@@ -14,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._linalg import kernel_basis
 from .errors import (DimensionCap, NotAlbert, OddDimension, SoundnessError,
                      Undecided)
 from .fieldtower import (FieldElem, is_square, quad_extend, render_element,
@@ -164,89 +168,50 @@ class CenterResult:
     idempotent: Optional[dict]          # algebra element, when rational
 
 
-def _generators(A: CliffordAlgebra):
-    """A generating set of A as an algebra.
-
-    Full algebra: the single generators e_j.  Even part: with w the first
-    anisotropic vector among e_0..e_{n-1}, e_0+e_1, the n-1 products w*e_j,
-    j not the first index of w, since e_i e_j = phi(w)^-1 (e_i w)(w e_j),
-    e_i w = b(e_i, w) + w e_i, and the omitted w*e_j is phi(w) plus the
-    other products of w's support.  Such a w exists whenever n >= 1:
-    quasilinear entries are nonzero, and if every phi(e_k) is 0 the form is
-    a sum of blocks [0,0], where phi(e_0 + e_1) = 1."""
-    one = A.K.one()
-    if not A.even_only:
-        return [{1 << j: one} for j in range(A.n)]
-    if A.n == 0:
-        return []
-    support = next(((k,) for k in range(A.n) if not A._diag[k].is_zero()),
-                   (0, 1))
-    w = {1 << k: one for k in support}
-    return [A.mul(w, {1 << j: one}) for j in range(A.n) if j != support[0]]
-
-
 def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
-    """Centralizer by linear solve; for an etale 2-dimensional center,
-    classify the Artin-Schreier polynomial and, when it splits rationally,
-    return the idempotent realizing C_0 = A x A.
+    """The centre of A, read off the form; for an etale 2-dimensional
+    centre, the class of its Artin-Schreier polynomial and, when it splits
+    rationally, the idempotent realizing C_0 = A x A.
 
-    The full Clifford algebra of an odd-dimensional form has in
-    characteristic 2 an inseparable 2-dimensional center (the radical
-    generator is central, with square in K); that case is reported as
-    "inseparable".  The central simple statement for odd dimensions is about
-    C_0, whose center here comes out 1-dimensional."""
-    K = A.K
-    zero, one = K.zero(), K.one()
-    masks = A.basis_masks
-    rows = []
-    for g in _generators(A):
-        # constraint x*g + g*x = 0, one row block per basis mask
-        cols = []
-        for m in masks:
-            x = {m: one}
-            comm = A.add(A.mul(x, g), A.mul(g, x))
-            cols.append(comm)
-        support = sorted({mm for c in cols for mm in c})
-        for mm in support:
-            rows.append([c.get(mm, zero) for c in cols])
-    kb = kernel_basis(K, rows, ncols=len(masks))
-    dim = len(kb)
-    if dim == 1:
+    Write phi = psi + <c_1..c_r> with psi = [a_1,b_1] + ... + [a_m,b_m].
+    C(psi) is central simple, and the quasilinear generators z_j commute
+    with every generator (their polar values are 0), so the centre of C(phi)
+    is the commutative C(<c_1..c_r>), of dimension 2^r.  For r >= 1 the
+    products e_i z_1 (e_i not z_1) generate C_0(phi) under the relations of
+    c_1 (psi + <c_2..c_r>), so its centre has dimension 2^(r-1).  A
+    2-dimensional centre of this kind is K[z] with z^2 in K: "inseparable".
+
+    For r = 0 the full algebra is central simple, and C_0(psi) has centre
+    K + Ku, u = sum_i e_(2i) e_(2i+1).  Since e_1 e_0 = e_0 e_1 + 1,
+    (e_0 e_1)^2 = e_0 (e_0 e_1 + 1) e_1 = ab + e_0 e_1; the block terms
+    commute, so u^2 + u = sum a_i b_i, the Arf representative delta, and the
+    centre is K[T]/(T^2 + T + delta) (EKM 2008, ch. II).  A linear solve for
+    the centralizer finds this same u: mask 0 is a free column of its own,
+    so the kernel vector besides 1 is the multiple of u with a 1 at its
+    free column, and every coefficient of u is 1.  When wp_root gives z_0,
+    u + z_0 is the idempotent.  Both identities are checked in A's own
+    structure constants."""
+    r = len(A.form.quasilinear)
+    if r:
+        dim = 2 ** (r - 1) if A.even_only else 2 ** r
+        return CenterResult(dim, None,
+                            "inseparable" if dim == 2 else None, None)
+    if not A.even_only or A.n == 0:
         return CenterResult(1, None, None, None)
-    if dim != 2:
-        return CenterResult(dim, None, None, None)
-    # find g independent of 1
-    g_vec = None
-    for vec in kb:
-        elem = {m: c for m, c in zip(masks, vec) if not c.is_zero()}
-        if set(elem) != {0}:
-            g_vec = elem
-            break
-    g2 = A.mul(g_vec, g_vec)
-    # g^2 = alpha + beta*g; beta = 0 means an inseparable center (odd-dim
-    # full algebras: the radical generator squares into K)
-    beta = None
-    for m, c in g_vec.items():
-        if m != 0:
-            beta = g2.get(m, K.zero()) / c
-            break
-    if beta is None or beta.is_zero():
-        return CenterResult(2, None, "inseparable", None)
-    u = {m: c / beta for m, c in g_vec.items()}
-    shifted = A.add(A.mul(u, u), u)
-    if not set(shifted) <= {0}:
+    one = A.K.one()
+    u = {3 << (2 * i): one for i in range(len(A.form.blocks))}
+    delta = arf_representative(A.form)
+    if not A.equal(A.mul(u, u), A.add(u, {0: delta})):
         raise SoundnessError("u^2 + u is not scalar")
-    delta = shifted.get(0, K.zero())
     cls = wp_reduce(delta)
-    if cls.is_zero():
-        classification = "split"
-        z = wp_root(delta)
-        idem = A.add(u, {0: z}) if z is not None else None
-        if idem is not None and not A.equal(A.mul(idem, idem), idem):
-            raise SoundnessError("idempotent check failed")
-        return CenterResult(2, delta, classification, idem)
-    classification = "field" if cls.is_tame() else "unsupported"
-    return CenterResult(2, delta, classification, None)
+    if not cls.is_zero():
+        classification = "field" if cls.is_tame() else "unsupported"
+        return CenterResult(2, delta, classification, None)
+    z = wp_root(delta)
+    idem = A.add(u, {0: z}) if z is not None else None
+    if idem is not None and not A.equal(A.mul(idem, idem), idem):
+        raise SoundnessError("idempotent check failed")
+    return CenterResult(2, delta, "split", idem)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +469,8 @@ def splitting_index(phi: QuadraticForm) -> SplittingIndexResult:
     if kernel.dim == 0:
         return SplittingIndexResult(dim, iw - 1, 1, 1, "hyperbolic")
     kres = _splitting_index_anisotropic(kernel)
-    if kres.resolved:
-        return SplittingIndexResult(dim, kres.s + iw, kres.ind_low,
-                                    kres.ind_high,
-                                    kres.rule + (f"+strip{iw}" if iw else ""))
-    return SplittingIndexResult(dim, None, kres.ind_low, kres.ind_high,
+    return SplittingIndexResult(dim, kres.s + iw if kres.resolved else None,
+                                kres.ind_low, kres.ind_high,
                                 kres.rule + (f"+strip{iw}" if iw else ""))
 
 

@@ -32,6 +32,10 @@ class Degenerate(QF2Error):
         super().__init__(f"radical dimension {radical_dim}")
         self.radical_dim = radical_dim
 
+    def __reduce__(self):
+        # rebuilt from its fields when a batch worker sends it back
+        return type(self), (self.radical_dim,)
+
 
 class OddDimension(QF2Error):
     """Even-dimensional (nonsingular) input required."""
@@ -79,3 +83,7 @@ class ParseError(QF2Error):
         self.col = col
         self.expected = expected
         self.found = found
+
+    def __reduce__(self):
+        # rebuilt from its fields when a batch worker sends it back
+        return type(self), (self.line, self.col, self.expected, self.found)

@@ -1170,16 +1170,30 @@ def _parse_expr(tk: _Tok, K: FieldDescriptor) -> FieldElem:
     return x
 
 
+NONZERO_DIVISOR = "a nonzero divisor"
+
+
+def _check_divisor(tk: _Tok, at: int, y: FieldElem) -> None:
+    """Fail at token `at`, where the divisor y starts, when y is zero."""
+    if y.is_zero():
+        tk.i = at
+        tk.fail(NONZERO_DIVISOR)
+
+
 def _parse_term(tk: _Tok, K: FieldDescriptor) -> FieldElem:
     x = _parse_factor(tk, K)
     while tk.peek() in ("*", "/"):
         op = tk.next()
+        at = tk.i
         y = _parse_factor(tk, K)
+        if op == "/":
+            _check_divisor(tk, at, y)
         x = x * y if op == "*" else x / y
     return x
 
 
 def _parse_factor(tk: _Tok, K: FieldDescriptor) -> FieldElem:
+    at = tk.i
     x = _parse_atom(tk, K)
     if tk.peek() == "^":
         tk.next()
@@ -1190,6 +1204,8 @@ def _parse_factor(tk: _Tok, K: FieldDescriptor) -> FieldElem:
         n = tk.next()
         if n is None or not n.isdigit():
             tk.fail("an integer exponent")
+        if sign * int(n) < 0:
+            _check_divisor(tk, at, x)
         x = x ** (sign * int(n))
     return x
 

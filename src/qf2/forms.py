@@ -14,9 +14,10 @@ from typing import Optional
 
 from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
                      Undecided, ZeroScalar)
-from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, WpClass,
-                         _Tok, _parse_expr, _parse_factor, is_square,
-                         quad_extend, render_element, wp_reduce)
+from .fieldtower import (NONZERO_DIVISOR, ExtensionResult, FieldDescriptor,
+                         FieldElem, WpClass, _check_divisor, _parse_expr,
+                         _parse_factor, _Tok, is_square, quad_extend,
+                         render_element, wp_reduce)
 
 __all__ = [
     "QuadraticForm", "GramInput", "DiscriminantAlgebra",
@@ -411,8 +412,10 @@ def _parse_form_item(tk, K) -> QuadraticForm:
                 tk.next()
                 prim = _parse_form_primary(tk, K)
                 return scale(lam, prim)
-        except ParseError:
-            pass
+        except ParseError as exc:
+            # a zero divisor is a scalar that parsed; report it where it is
+            if exc.expected == NONZERO_DIVISOR:
+                raise
         tk.i = save
     return _parse_form_primary(tk, K)
 
@@ -426,7 +429,10 @@ def _parse_scalar(tk, K) -> FieldElem:
         if op == "*" and (nxt in ("[", "<", "pf", "(") or nxt is None):
             break
         tk.next()
+        at = tk.i
         y = _parse_factor(tk, K)
+        if op == "/":
+            _check_divisor(tk, at, y)
         x = x * y if op == "*" else x / y
     return x
 

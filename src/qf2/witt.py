@@ -173,11 +173,19 @@ def _finite_decide(phi: QuadraticForm) -> IsotropyVerdict:
                                         "detail": "trace criterion"})
 
 
-def _isotropic_explicit(phi, vec, cert):
+def _witness_fault(phi, vec) -> Optional[str]:
+    """Why vec is not a zero of phi, or None when it is one."""
     if not phi.evaluate(vec).is_zero():
-        raise SoundnessError("witness does not evaluate to zero")
+        return "witness does not evaluate to zero"
     if all(x.is_zero() for x in vec):
-        raise SoundnessError("zero vector is not a witness")
+        return "zero vector is not a witness"
+    return None
+
+
+def _isotropic_explicit(phi, vec, cert):
+    fault = _witness_fault(phi, vec)
+    if fault:
+        raise SoundnessError(fault)
     cert = dict(cert)
     cert["witness"] = [render_element(x) for x in vec]
     return IsotropyVerdict("isotropic", phi, witness=tuple(vec),
@@ -525,15 +533,21 @@ def _support_only(phi, layout, side, vres, coords):
     return IsotropyVerdict("isotropic", phi, certificate=cert)
 
 
+def _plane_product(phi, x0, y0) -> Optional[FieldElem]:
+    """phi(y0) phi(x0) / b(x0, y0)^2, whose wp-class decides whether
+    span(x0, y0) is hyperbolic; None when b(x0, y0) = 0."""
+    b = phi.polar(x0, y0)
+    if b.is_zero():
+        return None
+    return phi.evaluate(y0) * phi.evaluate(x0) / (b * b)
+
+
 def _plane_verdict(phi, x0, y0, extra) -> IsotropyVerdict:
     """span(x0, y0) is a rational plane that is hyperbolic over the Laurent
     field: its binary form has wp-trivial product class."""
-    b = phi.polar(x0, y0)
-    if b.is_zero():
+    w = _plane_product(phi, x0, y0)
+    if w is None:
         raise SoundnessError("plane is polar-degenerate")
-    a = phi.evaluate(y0)
-    c = phi.evaluate(x0)
-    w = a * c / (b * b)
     if not wp_member(w):
         raise SoundnessError("plane certificate failed its wp replay")
     cert = {"kind": "isotropic-plane",
@@ -549,20 +563,15 @@ def replay_verdict(v: IsotropyVerdict) -> bool:
     if v.is_unknown:
         return True
     if v.witness is not None:
-        return v.form.evaluate(v.witness).is_zero() and \
-            any(not x.is_zero() for x in v.witness)
+        return _witness_fault(v.form, v.witness) is None
     cert = v.certificate or {}
     kind = cert.get("kind")
     if kind == "isotropic-block":
         a, b = v.form.blocks[cert["block"]]
         return wp_member(a * b)
     if kind == "isotropic-plane":
-        x0, y0 = v.plane
-        b = v.form.polar(x0, y0)
-        if b.is_zero():
-            return False
-        w = v.form.evaluate(y0) * v.form.evaluate(x0) / (b * b)
-        return wp_member(w)
+        w = _plane_product(v.form, *v.plane)
+        return w is not None and wp_member(w)
     if kind == "residue-isotropy":
         return decide_isotropy(v.form).is_isotropic
     if v.is_anisotropic:

@@ -1,6 +1,7 @@
 """CLI: job parsing, reports, exit codes, batch determinism."""
 
 import json
+import pickle
 import subprocess
 import sys
 
@@ -8,7 +9,9 @@ import pytest
 
 from qf2.cli import (Job, build_parser, main, parse_job, render_text,
                      run_report)
-from qf2.errors import ParseError
+from qf2.errors import Degenerate, ParseError
+from qf2.fieldtower import parse_field
+from qf2.forms import parse_form
 
 
 def test_parse_job_roundtrip():
@@ -95,10 +98,45 @@ def test_exit_codes(tmp_path):
     ("F2((t))((t))", "[1,t]"),   # repeated variable
     ("F0((t))", "[1,t]"),
     ("F2^0((t))", "[1,t]"),
+    ("F2((t))", "[1/0,1]"),      # division by zero
+    ("F2((t))", "[(t+t)^-1,1]"), # negative power of zero
+    ("F2((t))", "1/0*[1,1]"),    # zero divisor in a scalar prefix
 ])
 def test_bad_input_is_a_positioned_parse_error(capsys, field, text):
     assert main(["--field", field, "--form", text, "--run", "invariants"]) == 1
     assert capsys.readouterr().err.startswith("parse error: line 1, col ")
+
+
+@pytest.mark.parametrize("text, col", [
+    ("[1/0,1]", 4), ("[(t+t)^-1,1]", 2), ("1/0*[1,1]", 3),
+    ("(1/0)*[1,1]", 4), ("[1,1]+t/(t+t)*[1,1]", 9),
+])
+def test_zero_divisor_is_reported_at_the_divisor(text, col):
+    # the scalar prefix backtracks on a parse error, but not on this one
+    with pytest.raises(ParseError) as info:
+        parse_form(parse_field("F2((t))"), text)
+    assert (info.value.col, info.value.expected) == (col, "a nonzero divisor")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_zero_divisor_in_batch_is_a_parse_error(tmp_path, workers):
+    # with 2 workers the error crosses a process boundary and must arrive
+    # whole, not as a broken pool
+    batch = tmp_path / "jobs.txt"
+    batch.write_text("field F2((t)); form [1,t]; run witt\n"
+                     "field F2((t)); form [1/0,1]; run witt\n")
+    out = _cli(["--batch", str(batch), "--json", "--workers", workers])
+    assert out.returncode == 1
+    assert out.stderr == ("parse error: line 1, col 4: expected a nonzero "
+                          "divisor, found '0'\n")
+
+
+def test_errors_cross_process_boundaries_whole():
+    # batch workers send errors back pickled
+    for exc in (ParseError(1, 4, "a nonzero divisor", "0"), Degenerate(2)):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert vars(back) == vars(exc)
 
 
 def test_config_file(tmp_path):

@@ -10,15 +10,17 @@ import pytest
 from qf2 import clifford
 from qf2.errors import DimensionCap, NotAlbert, SoundnessError
 from qf2.fieldtower import parse_field, render_element
-from qf2.forms import (GramInput, QuadraticForm, arf, hyperbolic,
+from qf2.forms import (GramInput, QuadraticForm, arf, block, hyperbolic,
                        hyperbolic_plane, normal_form, orthogonal_sum,
                        parse_form, scale)
-from qf2.clifford import (_generators, albert_index, build_clifford,
+from qf2.clifford import (albert_index, build_clifford,
                           center_and_idempotents, even_clifford_class,
                           quaternion_splits, splitting_index)
 from qf2.witt import witt_decompose
 
-from helpers import K1, K2, K3, random_tame_form, random_unit, run_optimized
+from clifford_oracle import _generators, solve_center
+from helpers import (K1, K2, K3, random_elem, random_tame_form, random_unit,
+                     run_optimized)
 
 F2 = parse_field("F2")
 
@@ -121,9 +123,10 @@ def test_algebra_associative_and_graded(field, text, even_only):
 # --- center ----------------------------------------------------------------------
 
 def test_center_pinned():
-    # tests/data/center_pinned.json was recorded with the solve that used
-    # all n(n-1)/2 products e_i e_j as generators of C_0; the n-1 products
-    # w*e_j leave the same kernel, so every field must repeat exactly
+    # tests/data/center_pinned.json was recorded with a linear solve for the
+    # centralizer (tests/data/make_center_pinned.py runs the one kept in
+    # tests/clifford_oracle.py); the centre read off the form must repeat
+    # every field exactly
     entries = json.loads((Path(__file__).parent / "data" /
                           "center_pinned.json").read_text())
     forms = {(e["field"], e["form"]) for e in entries}
@@ -144,7 +147,8 @@ def test_center_pinned():
 
 
 def test_even_part_generators():
-    # n - 1 generators of C_0, with w = e_0 + e_1 when no e_k is anisotropic
+    # the oracle's n - 1 generators of C_0, with w = e_0 + e_1 when no e_k
+    # is anisotropic
     for K, phi in ((F2, hyperbolic(F2, 2)), (K1, form(K1, "[1,t]+<t>")),
                    (K2, form(K2, "[0,0]+[1,1]+s*[1,1]"))):
         A0 = build_clifford(phi, even_only=True)
@@ -153,6 +157,88 @@ def test_even_part_generators():
     one = F2.one()
     assert _generators(build_clifford(hyperbolic(F2, 2), even_only=True)) == \
         [{0b011: one}, {0b101: one, 0b110: one}, {0b1001: one, 0b1010: one}]
+
+
+def _center_corpus():
+    """(form, even_only) pairs: each field, r = 0..3 quasilinear entries and
+    both algebras, tame and non-tame entries in turn; then even algebras of
+    nonsingular forms, where the centre is etale: a tame and a ramified
+    one, psi + psi (delta = 0) and [1, x^2 + x] + psi (the root x)."""
+    rng = random.Random(5)
+    out = []
+    fields = (F2, K1, parse_field("F4((t))"), K2)
+    for i, (K, r, even_only) in enumerate(
+            (K, r, e) for K in fields for r in range(4) for e in (False, True)):
+        blocks = rng.randint(0 if r else 1, 2 if r < 2 else 1)
+        if K is F2 or i % 2:
+            phi = random_tame_form(K, rng, blocks, quasilinear=r)
+        else:
+            phi = QuadraticForm(
+                K, tuple((random_elem(K, rng, nonzero=True),
+                          random_elem(K, rng, nonzero=True))
+                         for _ in range(blocks)),
+                tuple(random_elem(K, rng, nonzero=True) for _ in range(r)))
+        out.append((phi, even_only))
+    for K in fields[1:]:
+        psi = random_tame_form(K, rng, 1)
+        x = random_unit(K, rng)
+        # delta with a simple pole: a ramified centre
+        wild = block(K.one(), random_unit(K, rng) / K.var(K.top_variable))
+        out += [(random_tame_form(K, rng, 2), True), (wild, True),
+                (orthogonal_sum(psi, psi), True),
+                (orthogonal_sum(block(K.one(), x * x + x), psi), True)]
+    return out
+
+
+def test_center_matches_solve_oracle():
+    # the closed form against the centralizer solve, field by field
+    corpus = _center_corpus()
+    seen = set()
+    for phi, even_only in corpus:
+        A = build_clifford(phi, even_only=even_only)
+        c = center_and_idempotents(A)
+        assert c == solve_center(A), (str(phi), even_only)
+        seen.add((c.classification, c.idempotent is not None))
+    assert len(corpus) >= 40
+    assert {(None, False), ("inseparable", False), ("field", False),
+            ("unsupported", False), ("split", True)} <= seen
+
+
+FORGED_CENTRE = """
+import sys
+from qf2 import clifford
+from qf2.errors import SoundnessError
+from qf2.fieldtower import parse_field
+from qf2.forms import parse_form
+if not sys.flags.optimize:
+    sys.exit(2)
+K = parse_field("F2((t))")
+t = K.var("t")
+forged = {"delta": ("arf_representative", lambda phi: t),
+          "root": ("wp_root", lambda delta: t)}
+name, fake = forged[FORGED]
+setattr(clifford, name, fake)
+A = clifford.build_clifford(parse_form(K, "[0,0]+[0,0]"), even_only=True)
+try:
+    clifford.center_and_idempotents(A)
+except SoundnessError as exc:
+    print(exc)
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("forged, message", [
+    ("delta", "u^2 + u is not scalar"),
+    ("root", "idempotent check failed"),
+])
+def test_forged_centre_raises_under_O(forged, message):
+    # a delta that is not u^2 + u, and a z_0 with z_0^2 + z_0 != delta, are
+    # caught by the structure constants, also under python -O
+    proc = run_optimized(f"FORGED = {forged!r}\n" + FORGED_CENTRE)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.strip() == message
+
 
 def test_center_of_even_part_nontrivial_arf():
     A0 = build_clifford(form(F2, "[1,1]"), even_only=True)

@@ -1,10 +1,12 @@
-"""Exact linear algebra: rref, kernels, row dependencies."""
+"""Exact linear algebra: rref, row dependencies, and the kernels of the
+Clifford-centre oracle."""
 
 import random
 
-from qf2._linalg import kernel_basis, rref, row_dependency
+from qf2._linalg import rref, row_dependency
 from qf2.fieldtower import parse_element
 
+from clifford_oracle import kernel_basis
 from helpers import K1, K2, random_elem
 
 
