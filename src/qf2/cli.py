@@ -15,11 +15,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceeded, ParseError, QF2Error, Undecided
-from .fieldtower import parse_field, render_element
+from .fieldtower import _linecol, parse_field, render_element
 from .forms import arf, discriminant_algebra, parse_form
 from .witt import brute_force_search, decide_isotropy, witt_decompose
 from .clifford import (DEFAULT_DIMENSION_CAP, build_clifford,
@@ -52,56 +51,106 @@ class Job:
 
 
 def _split_statements(text):
-    """Split on top-level semicolons (pf(a;b) keeps its own)."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+    """Split on top-level semicolons (pf(a;b) keeps its own); returns
+    (offset, statement) pairs."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == ";" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
+        elif ch == ";" and depth == 0:
+            parts.append((start, text[start:i]))
+            start = i + 1
+    parts.append((start, text[start:]))
     return parts
+
+
+def _moved(exc: ParseError, text: str, start: int) -> ParseError:
+    """exc, raised on a part of text that starts at offset start, with its
+    position moved into text."""
+    line, col = _linecol(text, start)
+    if exc.line == 1:
+        col += exc.col - 1
+    else:
+        line, col = line + exc.line - 1, exc.col
+    return ParseError(line, col, exc.expected, exc.found)
 
 
 def parse_job(text: str, defaults: Job = None) -> Job:
     """`field ...; form ...; run a,b` -> Job.  Statements are
-    semicolon-separated; `run` takes a comma-separated computation list."""
+    semicolon-separated; `run` takes a comma-separated computation list.
+
+    A ParseError is positioned in text: an unknown statement at the
+    statement, an unknown computation at its name, an error in the field or
+    a form where it is inside that declaration, and a missing declaration
+    at the end of text."""
     job = Job() if defaults is None else dataclasses.replace(
         defaults, field_text="", form_texts=[], runs=[])
-    for raw in _split_statements(text):
+    field_at, form_ats = 0, []
+    for start, raw in _split_statements(text):
         stmt = raw.strip()
         if not stmt:
             continue
+        at = start + len(raw) - len(raw.lstrip())
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
+        rest_at = at + len(stmt) - len(rest)
         if head == "field":
-            job.field_text = rest
+            job.field_text, field_at = rest, rest_at
         elif head == "form":
             job.form_texts.append(rest)
+            form_ats.append(rest_at)
         elif head == "run":
             for item in rest.split(","):
-                item = item.strip()
-                if item not in COMPUTATIONS:
-                    raise ParseError(1, 1, f"one of {COMPUTATIONS}", item)
-                job.runs.append(item)
+                name = item.strip()
+                if name not in COMPUTATIONS:
+                    item_at = rest_at + len(item) - len(item.lstrip())
+                    raise ParseError(*_linecol(text, item_at),
+                                     f"one of {COMPUTATIONS}", name)
+                job.runs.append(name)
+                rest_at += len(item) + 1
         else:
-            raise ParseError(1, 1, "field / form / run", head)
+            raise ParseError(*_linecol(text, at), "field / form / run", head)
     if not job.field_text:
-        raise ParseError(1, 1, "a field declaration")
+        raise ParseError(*_linecol(text, len(text)), "a field declaration")
     if not job.form_texts:
-        raise ParseError(1, 1, "at least one form")
+        raise ParseError(*_linecol(text, len(text)), "at least one form")
     if not job.runs:
         job.runs = ["all"]
     # validate by parsing now, so errors surface with positions
-    K = parse_field(job.field_text)
-    for ft in job.form_texts:
-        parse_form(K, ft)
+    try:
+        K = parse_field(job.field_text)
+    except ParseError as exc:
+        raise _moved(exc, text, field_at) from None
+    for ft, at in zip(job.form_texts, form_ats):
+        try:
+            parse_form(K, ft)
+        except ParseError as exc:
+            raise _moved(exc, text, at) from None
     return job
+
+
+def _parse_arguments(statements, defaults: Job) -> Job:
+    """parse_job on the statements (`form [1,t]`, ...) joined by "; ", with
+    a ParseError positioned in the argument of the statement it falls in,
+    as the user typed that argument."""
+    text = "; ".join(statements)
+    try:
+        return parse_job(text, defaults)
+    except ParseError as exc:
+        lines = text.split("\n")
+        at = sum(len(ln) + 1 for ln in lines[:exc.line - 1]) + exc.col - 1
+        start = 0
+        for stmt in statements[:-1]:
+            if at <= start + len(stmt):
+                break
+            start += len(stmt) + 2
+        else:
+            stmt = statements[-1]
+        arg = start + len(stmt.partition(" ")[0]) + 1
+        raise ParseError(*_linecol(text[arg:], max(at - arg, 0)),
+                         exc.expected, exc.found) from None
 
 
 def _run_invariants(phi, job, flags):
@@ -225,8 +274,14 @@ def render_text(result: dict) -> str:
 
 
 def _evaluate_job_text(args_tuple):
-    text, defaults = args_tuple
-    return run_report(parse_job(text, defaults))
+    """(text, defaults, line) -> report; text is line `line` of a batch
+    file, and a ParseError names that line."""
+    text, defaults, line = args_tuple
+    try:
+        job = parse_job(text, defaults)
+    except ParseError as exc:
+        raise ParseError(line, exc.col, exc.expected, exc.found) from None
+    return run_report(job)
 
 
 def _read_config(path):
@@ -299,10 +354,12 @@ def main(argv=None):
     try:
         if args.batch:
             with open(args.batch, "r", encoding="utf-8") as fh:
-                texts = [ln.strip() for ln in fh
-                         if ln.strip() and not ln.strip().startswith("#")]
-            payload = [(t, defaults) for t in texts]
+                payload = [(ln.rstrip("\n"), defaults, line)
+                           for line, ln in enumerate(fh, 1)
+                           if ln.strip() and not ln.strip().startswith("#")]
             if args.workers > 1:
+                # imported here: serial runs never load multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=args.workers) as pool:
                     results = list(pool.map(_evaluate_job_text, payload))
             else:
@@ -323,7 +380,7 @@ def main(argv=None):
             stmts = [f"field {field_text}"]
             stmts += [f"form {f}" for f in forms]
             stmts.append(f"run {run_text}")
-            job = parse_job("; ".join(stmts), defaults)
+            job = _parse_arguments(stmts, defaults)
             result = run_report(job)
             undecided = result["any_undecided"]
             if defaults.json_output:

@@ -22,12 +22,25 @@ multiplication masked to the low bit of each byte.  Its raw data is the same
 test the degree cap exactly where the generic code does.  The cap also
 bounds how many coefficient pairs meet in one byte of a product, so that no
 byte carries into the next; an import-time check keeps that bound true.
+
+The field identities cost nothing.  At every level add with a zero operand
+returns the other operand, mul with a zero operand returns the zero, and mul
+with an operand equal to the one returns the other operand; FieldElem's
+operators then hand back the operand itself.  This changes no output:
+canonical data is unique, so an operand is, tuple for tuple, what canon
+would return for it.  The only work skipped is re-reducing a fraction that
+is already reduced, and at level >= 2 the coefficient gcd of that
+re-reduction could raise DegreeOverflow.  So a DegreeOverflow can disappear,
+but none can appear where the old code had none.  Each FieldDescriptor
+resolves its level ops once, when it is built; the handle takes no part in
+equality, hashing, repr or pickling, and an unpickled descriptor resolves
+to the shared ops again.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -290,6 +303,8 @@ class FieldDescriptor:
 
     base_exponent: int = 1
     variables: tuple = ()
+    # the shared level ops, _ops_key(base_exponent, level)
+    _ops: object = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_exponent < 1:
@@ -298,6 +313,12 @@ class FieldDescriptor:
             raise ValueError("variable names must be unique")
         if len(self.variables) > DEFAULT_TOWER_CAP:
             raise TowerDepthExceeded(f"{len(self.variables)} > {DEFAULT_TOWER_CAP}")
+        object.__setattr__(self, "_ops", _ops_key(self.base_exponent,
+                                                  len(self.variables)))
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that it resolves the shared ops again
+        return type(self), (self.base_exponent, self.variables)
 
     @property
     def level(self) -> int:
@@ -325,15 +346,15 @@ class FieldDescriptor:
 
     # element constructors -------------------------------------------------
     def zero(self) -> "FieldElem":
-        return FieldElem(self, _ops(self).zero)
+        return FieldElem(self, self._ops.zero)
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, _ops(self).one)
+        return FieldElem(self, self._ops.one)
 
     def from_base(self, bits: int) -> "FieldElem":
         if not 0 <= bits < (1 << self.base_exponent):
             raise ValueError(f"{bits} out of range for F_2^{self.base_exponent}")
-        return FieldElem(self, _ops(self).lift_const(bits))
+        return FieldElem(self, self._ops.lift_const(bits))
 
     def generator(self) -> "FieldElem":
         if self.base_exponent == 1:
@@ -465,6 +486,10 @@ class _FracOps:
         return not x[0]
 
     def add(self, x, y):
+        if not x[0]:
+            return y
+        if not y[0]:
+            return x
         (n1, d1), (n2, d2) = x, y
         if d1 == d2:
             return self.canon(self.padd(n1, n2), d1)
@@ -472,6 +497,12 @@ class _FracOps:
                           self.pmul(d1, d2))
 
     def mul(self, x, y):
+        if not x[0] or not y[0]:
+            return self.zero
+        if x == self.one:
+            return y
+        if y == self.one:
+            return x
         (n1, d1), (n2, d2) = x, y
         return self.canon(self.pmul(n1, n2), self.pmul(d1, d2))
 
@@ -557,8 +588,9 @@ class _F2tOps(_FracOps):
 
     Takes and returns the same raw data as _FracOps(_gf(1)): (num, den)
     tuples of 0/1 ints.  _times keeps the generic pmul's early-outs and cap
-    test, and pmul, add and mul call it on the same products in the same
-    order, so every DegreeOverflow fires where the generic code raises it.  The
+    test; add and mul take the generic identity shortcuts, and pmul, add and
+    mul call _times on the same products in the same order, so every
+    DegreeOverflow fires where the generic code raises it.  The
     other polynomial methods are the generic ones: at this level they are
     reached only from the generic add, mul and canon, which are overridden.
     """
@@ -600,6 +632,10 @@ class _F2tOps(_FracOps):
         return self._canon_packed(_pack(num), _pack(den))
 
     def add(self, x, y):
+        if not x[0]:
+            return y
+        if not y[0]:
+            return x
         (n1, d1), (n2, d2) = x, y
         if d1 == d2:
             return self._canon_packed(_pack(n1) ^ _pack(n2), _pack(d1))
@@ -607,6 +643,12 @@ class _F2tOps(_FracOps):
             self._times(n1, d2) ^ self._times(n2, d1), self._times(d1, d2))
 
     def mul(self, x, y):
+        if not x[0] or not y[0]:
+            return self.zero
+        if x == self.one:
+            return y
+        if y == self.one:
+            return x
         (n1, d1), (n2, d2) = x, y
         return self._canon_packed(self._times(n1, n2), self._times(d1, d2))
 
@@ -626,10 +668,6 @@ def _ops_key(e: int, level: int):
     return _FracOps(_ops_key(e, level - 1))
 
 
-def _ops(K: FieldDescriptor):
-    return _ops_key(K.base_exponent, K.level)
-
-
 # ---------------------------------------------------------------------------
 # Elements.
 
@@ -641,24 +679,33 @@ class FieldElem:
     data: Union[int, tuple]
 
     def _ops(self):
-        return _ops(self.field)
+        return self.field._ops
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field.render()} vs {other.field.render()}")
+
+    def _result(self, other, data) -> "FieldElem":
+        """The element with this data: an operand itself when the ops
+        returned that operand's data."""
+        if data is self.data:
+            return self
+        if data is other.data:
+            return other
+        return FieldElem(self.field, data)
 
     def is_zero(self) -> bool:
         return self._ops().is_zero(self.data)
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        return FieldElem(self.field, self._ops().add(self.data, other.data))
+        return self._result(other, self._ops().add(self.data, other.data))
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        return FieldElem(self.field, self._ops().mul(self.data, other.data))
+        return self._result(other, self._ops().mul(self.data, other.data))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
@@ -699,8 +746,7 @@ class FieldElem:
             data = _embed_raw(data, self.field.level,
                               self.field.base_exponent, K.base_exponent)
         for lvl in range(self.field.level, K.level):
-            sub = FieldDescriptor(K.base_exponent, K.variables[:lvl + 1])
-            data = _ops(sub).lift_data(data)
+            data = _ops_key(K.base_exponent, lvl + 1).lift_data(data)
         return FieldElem(K, data)
 
 
@@ -1072,6 +1118,13 @@ def frobenius_components(x: FieldElem) -> dict:
 _TOKEN_RE = re.compile(r"\s*(\(\(|\)\)|[()+\-*/^;,\[\]<>=]|[A-Za-z_][A-Za-z_0-9]*|\d+)")
 
 
+def _linecol(text: str, pos: int):
+    """The 1-based line and column of offset pos in text."""
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return line, col
+
+
 class _Tok:
     def __init__(self, text: str, doubles: bool = False):
         # doubles=True keeps "((" / "))" as single tokens (field syntax);
@@ -1087,7 +1140,7 @@ class _Tok:
             m = _TOKEN_RE.match(self.text, pos)
             if not m:
                 if self.text[pos:].strip():
-                    raise ParseError(*self._linecol(pos), "a token",
+                    raise ParseError(*_linecol(self.text, pos), "a token",
                                      self.text[pos])
                 break
             tok, start = m.group(1), m.start(1)
@@ -1098,11 +1151,6 @@ class _Tok:
             else:
                 self.toks.append((tok, start))
             pos = m.end()
-
-    def _linecol(self, pos):
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
 
     def peek(self):
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -1122,8 +1170,7 @@ class _Tok:
             t, pos = self.toks[self.i]
         else:
             t, pos = "<eof>", len(self.text)
-        line, col = self._linecol(pos)
-        raise ParseError(line, col, expected, t)
+        raise ParseError(*_linecol(self.text, pos), expected, t)
 
     def done(self):
         return self.i >= len(self.toks)

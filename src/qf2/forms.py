@@ -14,10 +14,10 @@ from typing import Optional
 
 from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
                      Undecided, ZeroScalar)
-from .fieldtower import (NONZERO_DIVISOR, ExtensionResult, FieldDescriptor,
-                         FieldElem, WpClass, _check_divisor, _parse_expr,
-                         _parse_factor, _Tok, is_square, quad_extend,
-                         render_element, wp_reduce)
+from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem,
+                         WpClass, _check_divisor, _parse_expr, _parse_factor,
+                         _Tok, is_square, quad_extend, render_element,
+                         wp_reduce)
 
 __all__ = [
     "QuadraticForm", "GramInput", "DiscriminantAlgebra",
@@ -403,21 +403,31 @@ def _parse_form_sum(tk, K) -> QuadraticForm:
 
 
 def _parse_form_item(tk, K) -> QuadraticForm:
-    # optional scalar prefix: elem '*' primary
+    """[scalar '*'] primary.  Once a scalar and its '*' are read, an error in
+    the primary propagates.  When the scalar route and the bare-primary
+    route both fail, the error further into the text is raised, so that a
+    zero divisor or an unknown name inside the scalar is reported where it
+    is."""
+    if tk.peek() in ("[", "<", "pf"):
+        return _parse_form_primary(tk, K)
     save = tk.i
-    if tk.peek() not in ("[", "<") and tk.peek() != "pf":
-        try:
-            lam = _parse_scalar(tk, K)
-            if tk.peek() == "*":
-                tk.next()
-                prim = _parse_form_primary(tk, K)
-                return scale(lam, prim)
-        except ParseError as exc:
-            # a zero divisor is a scalar that parsed; report it where it is
-            if exc.expected == NONZERO_DIVISOR:
-                raise
-        tk.i = save
-    return _parse_form_primary(tk, K)
+    try:
+        lam = _parse_scalar(tk, K)
+    except ParseError as exc:
+        scalar_error = exc
+    else:
+        if tk.peek() == "*":
+            tk.next()
+            return scale(lam, _parse_form_primary(tk, K))
+        scalar_error = None
+    tk.i = save
+    try:
+        return _parse_form_primary(tk, K)
+    except ParseError as exc:
+        if scalar_error is not None and \
+                (scalar_error.line, scalar_error.col) > (exc.line, exc.col):
+            raise scalar_error from None
+        raise
 
 
 def _parse_scalar(tk, K) -> FieldElem:

@@ -88,11 +88,17 @@ def random_tame_form(K: FieldDescriptor, rng: random.Random, blocks: int,
     return QuadraticForm(K, tuple(bl), tuple(ql))
 
 
-def run_optimized(code):
-    """Run code in a `python -O` subprocess that imports this checkout."""
+def checkout_env():
+    """The environment for a Python subprocess that imports this checkout's
+    qf2: `pythonpath` in pyproject.toml reaches only the pytest process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def run_optimized(code):
+    """Run code in a `python -O` subprocess that imports this checkout."""
     return subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True)
+                          env=checkout_env(), capture_output=True, text=True)

@@ -24,7 +24,7 @@ from qf2.clifford import albert_index, splitting_index
 from qf2.chow import chow2_torsion, chow3_torsion, split_chow_structure
 from qf2.pfister import neighbor_dim5
 
-from helpers import K1, K2, K3, random_tame_form
+from helpers import K1, K2, K3, checkout_env, random_tame_form
 
 F2 = parse_field("F2")
 
@@ -288,7 +288,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "qf2.cli", "--batch", str(batch),
              "--json", "--workers", str(workers)],
-            capture_output=True, text=True)
+            env=checkout_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 

@@ -13,6 +13,8 @@ from qf2.errors import Degenerate, ParseError
 from qf2.fieldtower import parse_field
 from qf2.forms import parse_form
 
+from helpers import checkout_env
+
 
 def test_parse_job_roundtrip():
     job = parse_job("field F2((s))((t)); form pf(s,t;1); run chow2")
@@ -75,7 +77,8 @@ def test_chow2_json_shape():
 
 def _cli(args, **kw):
     return subprocess.run([sys.executable, "-m", "qf2.cli"] + args,
-                          capture_output=True, text=True, **kw)
+                          env=checkout_env(), capture_output=True, text=True,
+                          **kw)
 
 
 def test_exit_codes(tmp_path):
@@ -112,7 +115,7 @@ def test_bad_input_is_a_positioned_parse_error(capsys, field, text):
     ("(1/0)*[1,1]", 4), ("[1,1]+t/(t+t)*[1,1]", 9),
 ])
 def test_zero_divisor_is_reported_at_the_divisor(text, col):
-    # the scalar prefix backtracks on a parse error, but not on this one
+    # the scalar route gets further than the bare-primary route
     with pytest.raises(ParseError) as info:
         parse_form(parse_field("F2((t))"), text)
     assert (info.value.col, info.value.expected) == (col, "a nonzero divisor")
@@ -127,8 +130,74 @@ def test_zero_divisor_in_batch_is_a_parse_error(tmp_path, workers):
                      "field F2((t)); form [1/0,1]; run witt\n")
     out = _cli(["--batch", str(batch), "--json", "--workers", workers])
     assert out.returncode == 1
-    assert out.stderr == ("parse error: line 1, col 4: expected a nonzero "
+    assert out.stderr == ("parse error: line 2, col 24: expected a nonzero "
                           "divisor, found '0'\n")
+
+
+@pytest.mark.parametrize("field, text, col, expected", [
+    ("F2((t))", "t*[1,1", 7, "']'"),             # error after the '*'
+    ("F2((s))((t))", "t*x*[1,1]", 3, None),       # unknown name in the scalar
+    ("F2((t))", "[1,1]+t*<t,1", 13, "'>'"),
+    ("F2((t))", "(t)*[1,t+]", 10, None),
+    ("F2((t))", "x", 1, None),                    # both routes fail at once
+])
+def test_scaled_item_error_is_reported_where_it_is(field, text, col, expected):
+    with pytest.raises(ParseError) as info:
+        parse_form(parse_field(field), text)
+    assert info.value.col == col
+    if expected is not None:
+        assert info.value.expected == expected
+
+
+@pytest.mark.parametrize("text, col, found", [
+    ("field F2((t)); blorp [1,1]", 16, "blorp"),   # at the statement
+    (" field F2((t));  run witt, fly; form [1,1]", 28, "fly"),
+    ("field F2((t)); form [1,1,1]; run witt", 25, ","),
+    ("field F2(t); form [1,1]", 9, "("),           # inside the field
+    ("field F2((t))", 14, ""),                      # at the end of the text
+])
+def test_parse_job_positions_errors_in_the_job_text(text, col, found):
+    with pytest.raises(ParseError) as info:
+        parse_job(text)
+    assert (info.value.line, info.value.col, info.value.found) == \
+        (1, col, found)
+
+
+def test_parse_job_positions_errors_on_later_lines():
+    with pytest.raises(ParseError) as info:
+        parse_job("field F2((t));\nform [1,1];\n  form [1,1,1]")
+    assert (info.value.line, info.value.col) == (3, 12)
+
+
+@pytest.mark.parametrize("args, where", [
+    (["--form", "t*[1,1"], "line 1, col 7: expected ']'"),
+    (["--form", "[1,t]", "--form", "[1/0,1]"], "line 1, col 4: expected a "
+     "nonzero divisor"),
+    (["--form", "[1,\n1+]"], "line 2, col 3: expected a variable"),
+    (["--form", "[1,t]", "--run", "witt, fly"], "line 1, col 7: expected one "
+     "of"),
+])
+def test_argument_errors_are_positioned_in_the_argument(capsys, args, where):
+    assert main(["--field", "F2((t))"] + args) == 1
+    assert capsys.readouterr().err.startswith(f"parse error: {where}")
+
+
+def test_batch_errors_name_the_file_line(tmp_path):
+    # blank and comment lines count; the column is the file's column
+    batch = tmp_path / "jobs.txt"
+    batch.write_text("# a comment\n\nfield F2((t)); form [1,t]; run witt\n"
+                     "  field F2((t)); form [1,1]+t*[1,1; run witt\n")
+    out = _cli(["--batch", str(batch), "--json"])
+    assert out.returncode == 1
+    assert out.stderr.startswith("parse error: line 4, col 35: expected ']'")
+
+
+def test_serial_cli_does_not_load_the_process_pool():
+    code = ("import sys, qf2.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_errors_cross_process_boundaries_whole():

@@ -1,6 +1,7 @@
 """Field-tower arithmetic: exactness, valuations, squares, wp classes."""
 
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qf2 import fieldtower
-from qf2.errors import DegreeOverflow, ZeroElement
+from qf2.errors import DegreeOverflow, FieldMismatch, ZeroElement
 from qf2.fieldtower import (FieldDescriptor, frobenius_components, is_square,
                             parse_element, parse_field, quad_extend,
                             render_element, unit_residue, valuation_split,
                             wp_member, wp_reduce, wp_root)
 
-from helpers import K1, K2, random_elem, run_optimized
+from helpers import K1, K2, K3, random_elem, run_optimized
 
 
 def elem(K, text):
@@ -454,7 +455,10 @@ def packed_level_mismatches(seed, rounds):
         calls = (("pmul", (p, q)), ("pmul", ((1,), p)),
                  ("canon", (p, r)), ("canon", (p, ())),
                  ("add", (x, y)), ("add", (x, (p, x[1]))), ("mul", (x, y)),
-                 ("inv", (x,)))
+                 ("inv", (x,)),
+                 ("add", (x, generic.zero)), ("add", (generic.zero, x)),
+                 ("mul", (x, generic.zero)), ("mul", (generic.zero, x)),
+                 ("mul", (x, generic.one)), ("mul", (generic.one, x)))
         for name, args in calls:
             seen[name] += 1
             if _outcome(generic, name, args) != _outcome(packed, name, args):
@@ -537,6 +541,61 @@ sys.exit(1)
 def test_packed_carry_guard_raises_under_O():
     proc = run_optimized(CARRY_GUARD)
     assert proc.returncode == 3, proc.stderr
+
+
+# --- free identities and the descriptor's ops handle -------------------------------
+
+@pytest.mark.parametrize("text", ["F8", "F2((t))", "F4((t))", "F2((s))((t))",
+                                  "F2((s))((t))((u))"])
+def test_identities_return_an_operand(text):
+    """x+0, 0+x, x*1 and 1*x are x, and x*0, 0*x are 0: the operand itself
+    above level 0, and what canon's re-reduction of x gives wherever that
+    succeeds (at level >= 2 its gcd may overflow the degree cap)."""
+    K = parse_field(text)
+    zero, one = K.zero(), K.one()
+    rng = random.Random(31)
+    rereduced = 0
+    for _ in range(40):
+        x = random_elem(K, rng, deg=2, nonzero=True)
+        cases = ((x + zero, x), (zero + x, x), (x * one, x), (one * x, x),
+                 (x * zero, zero), (zero * x, zero), (zero + zero, zero),
+                 (one * one, one))
+        for got, want in cases:
+            assert got == want
+            assert K.level == 0 or any(got is c for c in (x, zero, one))
+        if K.level:
+            try:
+                again = K._ops.canon(*x.data)
+            except DegreeOverflow:
+                continue
+            assert again == x.data
+            rereduced += 1
+    assert rereduced >= 30 or K.level == 0
+
+
+@pytest.mark.parametrize("K", [parse_field("F2"), K1, parse_field("F4((t))"),
+                               K2, K3])
+def test_descriptor_pickles_without_its_ops(K):
+    data = pickle.dumps(K)
+    assert b"Ops" not in data and b"GF2e" not in data
+    back = pickle.loads(data)
+    assert back == K and hash(back) == hash(K) and repr(back) == repr(K)
+    assert back._ops is fieldtower._ops_key(K.base_exponent, K.level)
+    assert back.one() + back.one() == K.zero()
+
+
+def test_equal_descriptors_built_apart_still_meet():
+    A, B = FieldDescriptor(1, ("s", "t")), parse_field("F2((s))((t))")
+    assert A is not B and A == B and A._ops is B._ops
+    s, t = A.var("s"), B.var("t")
+    assert s + t == elem(A, "s+t") and s * t == elem(B, "s*t")
+    assert t / s == elem(A, "t/s")
+    for x, y in ((K1.one(), K2.one()), (K1.var("t"), elem(K2, "t")),
+                 (elem(parse_field("F4((t))"), "g"), K1.one())):
+        for op in (lambda a, b: a + b, lambda a, b: a * b,
+                   lambda a, b: a / b):
+            with pytest.raises(FieldMismatch):
+                op(x, y)
 
 
 # --- embedding root ---------------------------------------------------------------
