@@ -428,3 +428,38 @@ def test_no_anisotropic_dim10_kernel_in_i3():
         dec = witt_decompose(big)
         assert arf(big).is_zero()
         assert dec.kernel.dim != 10
+
+
+# --- pinned decompositions -----------------------------------------------------
+
+def _pinned_form(doc):
+    K = parse_field(doc["field"])
+    return QuadraticForm(K, tuple((K.element(a), K.element(b))
+                                  for a, b in doc["blocks"]),
+                         tuple(K.element(c) for c in doc["quasilinear"]))
+
+
+def test_witt_pinned():
+    # tests/data/witt_pinned.json (make_witt_pinned.py) was recorded with
+    # the complement taken by dense elimination; every decomposition, plane
+    # and error message must repeat
+    entries = json.loads((Path(__file__).parent / "data" /
+                          "witt_pinned.json").read_text())
+    outcomes = {"ok": 0, "Undecided": 0}
+    kinds = {"block": 0, "explicit": 0, "plane": 0}
+    for e in entries:
+        phi = _pinned_form(e["form"])
+        assert phi.to_json() == e["form"]
+        try:
+            dec = witt_decompose(phi)
+        except Undecided as exc:
+            assert (e.get("error"), e.get("message")) == \
+                ("Undecided", str(exc)), e["form"]
+            outcomes["Undecided"] += 1
+            continue
+        assert dec.to_json() == e.get("decomposition"), e["form"]
+        outcomes["ok"] += 1
+        for plane in dec.planes:
+            kinds[plane["kind"]] += 1
+    assert outcomes == {"ok": 135, "Undecided": 26}
+    assert kinds == {"block": 63, "explicit": 239, "plane": 42}
