@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -50,18 +51,33 @@ class Job:
                            "budget": self.budget, "seed": self.seed}}
 
 
+_PF_OPEN = re.compile(r"\bpf\s*$")  # a pf whose "(" comes next
+
+
 def _split_statements(text):
-    """Split on top-level semicolons (pf(a;b) keeps its own); returns
-    (offset, statement) pairs."""
-    parts, depth, start = [], 0, 0
+    """Split on semicolons, except the one inside each pf(a1,..;b); returns
+    (offset, statement) pairs.
+
+    A bracket closes within its own statement: a semicolon ends the
+    statement whatever is still open, unless the innermost open bracket is
+    the parenthesis of a pf that has not had its semicolon yet.  An unclosed
+    bracket is then reported at the end of its own statement, not at a
+    later one."""
+    parts, stack, start = [], [], 0
     for i, ch in enumerate(text):
         if ch in "([":
-            depth += 1
+            pf = ch == "(" and _PF_OPEN.search(text, start, i)
+            stack.append("pf" if pf else ch)
         elif ch in ")]":
-            depth -= 1
-        elif ch == ";" and depth == 0:
-            parts.append((start, text[start:i]))
-            start = i + 1
+            if stack:
+                stack.pop()
+        elif ch == ";":
+            if stack and stack[-1] == "pf":
+                stack[-1] = "pf;"
+            else:
+                parts.append((start, text[start:i]))
+                start = i + 1
+                stack = []
     parts.append((start, text[start:]))
     return parts
 

@@ -122,14 +122,16 @@ class GramInput:
         return len(self.entries)
 
     def evaluate(self, vec) -> FieldElem:
+        """The sum of entries[i][j] * vec[i] * vec[j] over i <= j, taken
+        over the support of vec and the nonzero entries only, in row order
+        and with each term associated as (entry * vec[i]) * vec[j]."""
         acc = self.field.zero()
-        n = self.dim
-        for i in range(n):
-            if vec[i].is_zero():
-                continue
-            acc = acc + self.entries[i][i] * vec[i] * vec[i]
-            for j in range(i + 1, n):
-                acc = acc + self.entries[i][j] * vec[i] * vec[j]
+        support = [i for i, x in enumerate(vec) if not x.is_zero()]
+        for k, i in enumerate(support):
+            row, xi = self.entries[i], vec[i]
+            for j in support[k:]:
+                if not row[j].is_zero():
+                    acc = _plus(acc, row[j] * xi * vec[j])
         return acc
 
     def polar(self, v, w) -> FieldElem:
@@ -159,6 +161,18 @@ def block(a: FieldElem, b: FieldElem) -> QuadraticForm:
 # ---------------------------------------------------------------------------
 # Normal form via symplectic reduction of the polar form.
 
+def _plus(acc: FieldElem, t: FieldElem) -> FieldElem:
+    """acc + t, with no call when acc is zero (the sum is then t)."""
+    return t if acc.is_zero() else acc + t
+
+
+def _axpy(acc: FieldElem, a: FieldElem, x: FieldElem) -> FieldElem:
+    """acc + a*x, with no arithmetic when a or x is zero."""
+    if a.is_zero() or x.is_zero():
+        return acc
+    return _plus(acc, a * x)
+
+
 def normal_form_trace(g: GramInput):
     """Block normal form plus the change of basis that realizes it.
 
@@ -170,7 +184,14 @@ def normal_form_trace(g: GramInput):
 
     The polar values of the working vectors are kept in a matrix, read once
     from the Gram entries and updated after each split; phi-values come
-    from g.evaluate.
+    from g.evaluate.  Only nonzero arithmetic is done.  A working vector v_k
+    with b(v_k, x) = b(v_k, y) = 0 is kept as it is, and so is a polar entry
+    unless both of its vectors change; every other update adds its nonzero
+    terms only, each associated as in the full expression.  Adding or
+    multiplying by zero costs nothing in the field kernel, so the form and
+    the basis are the same.  A skipped product, such as b(v_k, y) * x[m]
+    with x[m] = 0, can no longer raise DegreeOverflow, so an overflow can
+    disappear, but none can appear.
     """
     K = g.field
     n = g.dim
@@ -191,18 +212,19 @@ def normal_form_trace(g: GramInput):
         i, j = pair
         x = vectors[i]
         binv = polar[i][j].inverse()
-        y = [binv * c for c in vectors[j]]
-        cx = [binv * row[j] for row in polar]  # b(v_k, y)
-        cy = [row[i] for row in polar]         # b(v_k, x)
+        y = [c if c.is_zero() else binv * c for c in vectors[j]]
+        keep = [k for k in range(len(vectors)) if k not in (i, j)]
+        cx = [_axpy(zero, binv, polar[k][j]) for k in keep]  # b(v_k, y)
+        cy = [polar[k][i] for k in keep]                     # b(v_k, x)
         va, vb = g.evaluate(x), g.evaluate(y)
         # keep the basis in sync with the eager [a,0]/[0,b] -> H rewrite
         if va.is_zero() and not vb.is_zero():
-            y = [y[m] + vb * x[m] for m in range(n)]
-            cx = [u + vb * w for u, w in zip(cx, cy)]
+            y = [_axpy(y[m], vb, x[m]) for m in range(n)]
+            cx = [_axpy(u, vb, w) for u, w in zip(cx, cy)]
             vb = g.evaluate(y)
         elif vb.is_zero() and not va.is_zero():
-            x = [x[m] + va * y[m] for m in range(n)]
-            cy = [w + va * u for u, w in zip(cx, cy)]
+            x = [_axpy(x[m], va, y[m]) for m in range(n)]
+            cy = [_axpy(w, va, u) for u, w in zip(cx, cy)]
             va = g.evaluate(x)
         blocks.append((va, vb))
         basis.append(x)
@@ -210,15 +232,17 @@ def normal_form_trace(g: GramInput):
         # v_k -> v_k + b(v_k,y) x + b(v_k,x) y is orthogonal to x and y; as
         # b(x,y) = 1 and b is alternating, b(w_k, w_l) = b(v_k, v_l)
         # + cx_l cy_k + cx_k cy_l in characteristic 2
-        keep = [k for k in range(len(vectors)) if k not in (i, j)]
-        vectors = [[vectors[k][m] + cx[k] * x[m] + cy[k] * y[m]
-                    for m in range(n)] for k in keep]
+        moved = [not (u.is_zero() and w.is_zero()) for u, w in zip(cx, cy)]
+        vectors = [[_axpy(_axpy(vectors[k][m], cx[r], x[m]), cy[r], y[m])
+                    for m in range(n)] if moved[r] else vectors[k]
+                   for r, k in enumerate(keep)]
         new = [[zero] * len(keep) for _ in keep]
         for r, k in enumerate(keep):
             for s in range(r + 1, len(keep)):
-                l = keep[s]
-                new[r][s] = new[s][r] = (polar[k][l] + cx[l] * cy[k]
-                                         + cx[k] * cy[l])
+                p = polar[k][keep[s]]
+                if moved[r] and moved[s]:
+                    p = _axpy(_axpy(p, cx[s], cy[r]), cx[r], cy[s])
+                new[r][s] = new[s][r] = p
         polar = new
     if len(vectors) >= 2:
         raise Degenerate(len(vectors))

@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ._linalg import rref, row_dependency
+from ._linalg import row_dependency
 from .errors import (BudgetExceeded, Degenerate, NotNormalizable,
                      SoundnessError, Undecided)
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, _gf,
                          frobenius_components, render_element, unit_residue,
                          valuation_split, wp_member, wp_reduce)
-from .forms import GramInput, QuadraticForm, normal_form
+from .forms import GramInput, QuadraticForm, _axpy, _plus, normal_form
 
 __all__ = [
     "IsotropyVerdict", "WittDecomposition", "ResiduePair",
@@ -625,22 +625,19 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
 
 
 def _split_explicit(phi, witness, planes):
-    """Remove the hyperbolic plane spanned by an explicit witness."""
+    """Remove the hyperbolic plane spanned by an explicit witness.
+
+    phi is in block normal form, so b(v, e_j) = v[j^1] on the blocks and 0
+    on the quasilinear line: the partner e_j is the first block coordinate
+    whose twin entry of v is nonzero, and u = e_j / v[j^1]."""
     K = phi.field
-    n = phi.dim
-    zero, one = K.zero(), K.one()
     v = list(witness)
-    e = None
-    for j in range(n):
-        probe = [zero] * n
-        probe[j] = one
-        if not phi.polar(v, probe).is_zero():
-            e = probe
-            break
-    if e is None:
+    j = next((j for j in range(2 * len(phi.blocks))
+              if not v[j ^ 1].is_zero()), None)
+    if j is None:
         raise Undecided("witness lies in the polar radical; no plane to split")
-    bv = phi.polar(v, e)
-    u = [x / bv for x in e]
+    u = [K.zero()] * phi.dim
+    u[j] = v[j ^ 1].inverse()
     planes.append({"kind": "explicit",
                    "v": [render_element(x) for x in v],
                    "u": [render_element(x) for x in u]})
@@ -651,35 +648,104 @@ def _split_plane(phi, x0, y0, planes):
     planes.append({"kind": "plane",
                    "x": [render_element(v) for v in x0],
                    "y": [render_element(v) for v in y0]})
-    b = phi.polar(list(x0), list(y0))
-    u = [v / b for v in y0]
+    binv = phi.polar(list(x0), list(y0)).inverse()
+    u = [y if y.is_zero() else y * binv for y in y0]
     return _complement(phi, list(x0), u)
 
 
 def _complement(phi, v, u):
-    """phi restricted to the orthogonal complement of span(v,u), B(v,u)=1."""
+    """phi restricted to the orthogonal complement W of span(v,u), B(v,u)=1.
+
+    phi is in block normal form, so B(e_p, x) = x[p^1] on the blocks and 0
+    on the quasilinear line: W is the kernel of the 2 x n matrix M whose
+    column c_p is (u[p^1], v[p^1]), zero past the blocks.  M has rank 2, as
+    M v = (1, 0) and M u = (0, 1).  W's basis is its reduced row echelon
+    form, which is unique, so it is written down instead of eliminated.
+    Column p of the RREF is a pivot unless it raises the rank of M's columns
+    p..n-1, so the two non-pivot columns are q2, the last nonzero column,
+    and q1, the last column before q2 with det(c_q1, c_q2) != 0; the
+    columns between them are multiples of c_q2.  The row of every other
+    column p is r_p = e_p + alpha_p e_q1 + beta_p e_q2 with c_p = alpha_p
+    c_q1 + beta_p c_q2, so by Cramer's rule alpha_p = det(c_p, c_q2) / d and
+    beta_p = det(c_q1, c_p) / d, d = det(c_q1, c_q2).  Past q1, alpha_p = 0,
+    and past q2, c_p = 0, so every row leads at its own column.  Without q1,
+    M has rank < 2 and the span is not a plane with B(v,u) = 1.
+
+    The Gram matrix of the rows is taken on their <= 3-entry support, with
+    the nonzero terms of phi.evaluate and phi.polar in their order."""
     K = phi.field
     n = phi.dim
     if n == 2:
         return QuadraticForm(K)
-    zero, one = K.zero(), K.one()
-    rest = []
-    for j in range(n):
-        w = [zero] * n
-        w[j] = one
-        cu = phi.polar(w, u)
-        cv = phi.polar(w, v)
-        rest.append([w[m] + cu * v[m] + cv * u[m] for m in range(n)])
-    red, pivots = rref(rest)
-    basis = [red[i] for i in range(len(pivots))]
-    if len(basis) != n - 2:
-        raise SoundnessError("complement has wrong dimension")
+    rows = _complement_rows(phi, v, u)
+    zero = K.zero()
     entries = [[zero] * (n - 2) for _ in range(n - 2)]
-    for i in range(n - 2):
-        entries[i][i] = phi.evaluate(basis[i])
+    for i, r in enumerate(rows):
+        entries[i][i] = _row_value(phi, r)
         for j in range(i + 1, n - 2):
-            entries[i][j] = phi.polar(basis[i], basis[j])
+            entries[i][j] = _row_polar(phi, r, rows[j])
     return normal_form(GramInput(K, tuple(tuple(r) for r in entries)))
+
+
+def _complement_rows(phi, v, u):
+    """The RREF basis of the complement of span(v, u) (see _complement), as
+    sparse rows {coordinate: nonzero entry} in pivot order."""
+    zero, one = phi.field.zero(), phi.field.one()
+    cols = [(u[p ^ 1], v[p ^ 1]) for p in range(2 * len(phi.blocks))]
+
+    def det(c, d):
+        return _axpy(_axpy(zero, c[0], d[1]), c[1], d[0])
+
+    q2 = next((p for p in reversed(range(len(cols)))
+               if not (cols[p][0].is_zero() and cols[p][1].is_zero())), None)
+    dets2 = [] if q2 is None else [det(c, cols[q2]) for c in cols[:q2]]
+    q1 = next((p for p in reversed(range(len(dets2)))
+               if not dets2[p].is_zero()), None)
+    if q1 is None:
+        raise SoundnessError("complement has wrong dimension")
+    dinv = dets2[q1].inverse()
+    rows = []
+    for p in range(phi.dim):
+        if p in (q1, q2):
+            continue
+        row = {p: one}
+        if p < q2:
+            if not dets2[p].is_zero():
+                row[q1] = dets2[p] * dinv
+            beta = det(cols[q1], cols[p])
+            if not beta.is_zero():
+                row[q2] = beta * dinv
+        rows.append(row)
+    return rows
+
+
+def _row_value(phi, row):
+    """phi(row) for a sparse row {coordinate: nonzero entry}: the nonzero
+    terms of phi.evaluate, in its order and association."""
+    acc = phi.field.zero()
+    nb2 = 2 * len(phi.blocks)
+    for i in sorted({c >> 1 for c in row if c < nb2}):
+        a, b = phi.blocks[i]
+        x, y = row.get(2 * i), row.get(2 * i + 1)
+        if x is not None and not a.is_zero():
+            acc = _plus(acc, a * x * x)
+        if x is not None and y is not None:
+            acc = _plus(acc, x * y)
+        if y is not None and not b.is_zero():
+            acc = _plus(acc, b * y * y)
+    for c in sorted(c for c in row if c >= nb2):
+        acc = _plus(acc, phi.quasilinear[c - nb2] * row[c] * row[c])
+    return acc
+
+
+def _row_polar(phi, r, s):
+    """b(r, s) for sparse rows: the nonzero terms of phi.polar, in its
+    order and association."""
+    acc = zero = phi.field.zero()
+    for i in sorted({c >> 1 for c in r if c < 2 * len(phi.blocks)}):
+        acc = _axpy(_axpy(acc, r.get(2 * i, zero), s.get(2 * i + 1, zero)),
+                    r.get(2 * i + 1, zero), s.get(2 * i, zero))
+    return acc
 
 
 # ---------------------------------------------------------------------------

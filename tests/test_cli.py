@@ -104,10 +104,16 @@ def test_exit_codes(tmp_path):
     ("F2((t))", "[1/0,1]"),      # division by zero
     ("F2((t))", "[(t+t)^-1,1]"), # negative power of zero
     ("F2((t))", "1/0*[1,1]"),    # zero divisor in a scalar prefix
+    ("F2((t))", "t*[1,1"),       # unclosed bracket in the form
+    ("F2((t)", "[1,1]"),         # unclosed bracket in the field
 ])
 def test_bad_input_is_a_positioned_parse_error(capsys, field, text):
     assert main(["--field", field, "--form", text, "--run", "invariants"]) == 1
-    assert capsys.readouterr().err.startswith("parse error: line 1, col ")
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 1, col ")
+    # the arguments are joined by "; ": an error that names a semicolon or
+    # a missing declaration has run past the argument it is in
+    assert "';'" not in err and "at least one form" not in err, err
 
 
 @pytest.mark.parametrize("text, col", [
@@ -155,12 +161,23 @@ def test_scaled_item_error_is_reported_where_it_is(field, text, col, expected):
     ("field F2((t)); form [1,1,1]; run witt", 25, ","),
     ("field F2(t); form [1,1]", 9, "("),           # inside the field
     ("field F2((t))", 14, ""),                      # at the end of the text
+    # an unclosed bracket ends with its statement
+    ("field F2((t)); form [1,t; run witt", 25, "<eof>"),
+    ("field F2((t); form [1,1]", 12, ")"),
+    ("field F2((t)); form pf(t;1;run witt", 27, "<eof>"),  # one ';' per pf
+    # the pf left open in the form does not take the run's ')' and ';'
+    ("field F2((t)); form pf(t,(1; run witt); run fly", 34, "witt)"),
 ])
 def test_parse_job_positions_errors_in_the_job_text(text, col, found):
     with pytest.raises(ParseError) as info:
         parse_job(text)
     assert (info.value.line, info.value.col, info.value.found) == \
         (1, col, found)
+
+
+def test_parse_job_keeps_the_pf_semicolon():
+    job = parse_job("field F2((t)); form pf(t;1) + pf (t ; t); run witt")
+    assert (job.form_texts, job.runs) == (["pf(t;1) + pf (t ; t)"], ["witt"])
 
 
 def test_parse_job_positions_errors_on_later_lines():

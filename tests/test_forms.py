@@ -130,6 +130,48 @@ def test_normal_form_pinned():
     assert outcomes == {"ok": 127, "Degenerate": 33, "DegreeOverflow": 8}
 
 
+def _dense_evaluate(g, vec):
+    """GramInput.evaluate as a double loop over every later coordinate: the
+    reference for the loop over the support."""
+    acc = g.field.zero()
+    n = g.dim
+    for i in range(n):
+        if vec[i].is_zero():
+            continue
+        acc = acc + g.entries[i][i] * vec[i] * vec[i]
+        for j in range(i + 1, n):
+            acc = acc + g.entries[i][j] * vec[i] * vec[j]
+    return acc
+
+
+def test_sparse_evaluate_matches_the_dense_loop():
+    # on the pinned Gram matrices, the 8 that overflow in normal_form among
+    # them, and seeded vectors with about half their entries zero: where
+    # the dense loop returns a value, the support loop returns the same
+    # value and never raises
+    entries = json.loads((Path(__file__).parent / "data" /
+                          "normal_form_pinned.json").read_text())
+    rng = random.Random(163)
+    outcomes = {"same": 0, "dense overflows": 0}
+    for e in entries:
+        K = parse_field(e["field"])
+        g = GramInput(K, tuple(tuple(K.element(x) for x in row)
+                               for row in e["gram"]))
+        for _ in range(3):
+            vec = [K.zero() if rng.random() < 0.5 else
+                   rng.choice((K.one(), random_elem(K, rng, deg=1)))
+                   for _ in range(g.dim)]
+            try:
+                want = _dense_evaluate(g, vec)
+            except DegreeOverflow:
+                outcomes["dense overflows"] += 1
+                continue
+            assert g.evaluate(vec) == want, e["gram"]
+            outcomes["same"] += 1
+    assert sum(e.get("error") == "DegreeOverflow" for e in entries) == 8
+    assert outcomes == {"same": 486, "dense overflows": 18}
+
+
 # --- arf ---------------------------------------------------------------------
 
 def test_arf_one_one_over_f2():

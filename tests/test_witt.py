@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qf2 import witt
-from qf2.errors import (BudgetExceeded, NotNormalizable, SoundnessError,
-                        Undecided)
-from qf2.fieldtower import (parse_field, quad_extend, render_element,
-                            wp_member)
+from qf2.errors import (BudgetExceeded, DegreeOverflow, NotNormalizable,
+                        SoundnessError, Undecided)
+from qf2.fieldtower import (FieldElem, parse_field, quad_extend,
+                            render_element, wp_member)
 from qf2.forms import (QuadraticForm, arf, hyperbolic, hyperbolic_plane,
                        isometric, orthogonal_sum, parse_form, render_form,
                        scale)
 from qf2.witt import (brute_force_search, decide_isotropy, replay_verdict,
                       springer_residues, witt_decompose, witt_index_over_ext)
 
-from helpers import K1, K2, K3, random_tame_form, run_optimized
+import witt_oracle
+from helpers import K1, K2, K3, random_elem, random_tame_form, run_optimized
 
 F2 = parse_field("F2")
 F4 = parse_field("F4")
@@ -233,6 +234,173 @@ def test_residues_of_anisotropic_are_anisotropic():
         pair = springer_residues(phi)
         assert decide_isotropy(pair.first).is_anisotropic
         assert decide_isotropy(pair.second).is_anisotropic
+
+
+# --- the split step -------------------------------------------------------------
+
+def _random_vector(K, rng, n):
+    """Entries zero, one, the top variable or a random fraction."""
+    pool = [K.zero(), K.one()] + ([K.var(K.top_variable)] if K.level else [])
+    return [rng.choice(pool + [random_elem(K, rng, deg=1)]) for _ in range(n)]
+
+
+def _plane_vectors(phi, rng):
+    """(v, u) with B(v, u) = 1 and u random, mostly not a unit vector.  Some
+    block columns (u[p^1], v[p^1]) are made multiples of the last one, so
+    that pivots lie between the complement's two free columns."""
+    n = phi.dim
+    nb2 = 2 * len(phi.blocks)
+    while True:
+        v, u = _random_vector(phi.field, rng, n), _random_vector(phi.field,
+                                                                 rng, n)
+        last = nb2 - 1 - rng.randrange(2)
+        for p in range(last):
+            if rng.random() < 0.3:
+                lam = random_elem(phi.field, rng, deg=1)
+                u[p ^ 1], v[p ^ 1] = lam * u[last ^ 1], lam * v[last ^ 1]
+        b = phi.polar(v, u)
+        if not b.is_zero():
+            return v, [x / b for x in u]
+
+
+def _split_cases():
+    """(phi, v, u): explicit splits of engine witnesses (u = e_j / v[j^1]),
+    then planes with u not a unit vector, over odd dimensions and
+    hyperbolic blocks too."""
+    rng = random.Random(149)
+    cases = []
+    for K in (F2, F4, K1, parse_field("F4((t))"), K2):
+        for n in range(3, 11):
+            phi = random_tame_form(K, rng, n // 2, quasilinear=n % 2)
+            if rng.random() < 0.4:
+                z = K.zero()
+                phi = orthogonal_sum(QuadraticForm(K, ((z, z),)), phi)
+            for _ in range(2):
+                cases.append((phi, *_plane_vectors(phi, rng)))
+            witness = decide_isotropy(phi).witness
+            if witness is not None:
+                j = next(j for j in range(2 * len(phi.blocks))
+                         if not witness[j ^ 1].is_zero())
+                u = [K.zero()] * phi.dim
+                u[j] = witness[j ^ 1].inverse()
+                cases.append((phi, list(witness), u))
+    return cases
+
+
+def test_complement_matches_elimination_oracle():
+    kinds = set()
+    compared = 0
+    for phi, v, u in _split_cases():
+        try:
+            want = witt_oracle._complement(phi, v, u)
+        except DegreeOverflow:
+            continue
+        compared += 1
+        # where elimination returns, the closed form returns the same
+        assert witt._complement(phi, v, u).to_json() == want.to_json(), \
+            (phi, v, u)
+        # the rows are the unique RREF basis of the complement: n - 2 rows
+        # orthogonal to u and v, each leading with 1 at its own pivot, with
+        # zeros at the other pivots
+        rows = witt._complement_rows(phi, v, u)
+        n, zero = phi.dim, phi.field.zero()
+        dense = [[r.get(m, zero) for m in range(n)] for r in rows]
+        pivots = [min(r) for r in rows]
+        assert len(rows) == n - 2 and pivots == sorted(set(pivots))
+        for r, row in zip(rows, dense):
+            assert all(not x.is_zero() for x in r.values())
+            assert r[min(r)] == phi.field.one()
+            assert all(p == min(r) or row[p].is_zero() for p in pivots)
+            assert phi.polar(row, u).is_zero() and phi.polar(row, v).is_zero()
+        free = sorted(set(range(n)) - set(pivots))
+        kinds.add((phi.dim % 2, any(free[0] < p < free[1] for p in pivots),
+                   sum(not x.is_zero() for x in u) > 1))
+    # 104 of the 110 cases do not overflow; odd and even dimensions, pivots
+    # between the free columns, and u inside and outside the unit vectors
+    # all occur
+    assert compared == 104
+    assert kinds >= {(0, True, True), (1, True, True), (0, False, False),
+                     (1, False, False)}
+
+
+def test_split_plane_off_a_unit_polar_value():
+    # b(x0, y0) = t: the split is the oracle's complement for u = y0 / t
+    # (the complement depends on span(x0, y0) only, so no scaling of u
+    # shows in it)
+    phi = form(K1, "[1,1]+t*[1,1]+[0,0]+<t>")
+    t, z, one = K1.var("t"), K1.zero(), K1.one()
+    x0, y0 = (t, z, z, z, one, z, one), (z, one, z, one, t, z, z)
+    b = phi.polar(list(x0), list(y0))
+    assert b == t
+    planes = []
+    got = witt._split_plane(phi, x0, y0, planes)
+    want = witt_oracle._complement(phi, list(x0), [y / b for y in y0])
+    assert got.to_json() == want.to_json()
+    assert planes == [{"kind": "plane",
+                       "x": [render_element(c) for c in x0],
+                       "y": [render_element(c) for c in y0]}]
+
+
+def test_complement_of_a_degenerate_span_raises():
+    phi = form(K1, "[1,1]+t*[1,1]+<t>")
+    v = [K1.one(), K1.var("t"), K1.zero(), K1.one(), K1.one()]
+    for u in (v, [K1.zero()] * 5):
+        with pytest.raises(SoundnessError):
+            witt._complement(phi, v, u)
+        with pytest.raises(SoundnessError):
+            witt_oracle._complement(phi, v, u)
+
+
+FORGED_COMPLEMENT = """
+import sys
+from qf2 import witt
+from qf2.errors import SoundnessError
+from qf2.fieldtower import parse_field
+from qf2.forms import parse_form
+if not sys.flags.optimize:
+    sys.exit(2)
+K = parse_field("F2((t))")
+phi = parse_form(K, "[1,1]+t*[1,1]+<t>")
+v = [K.one(), K.var("t"), K.zero(), K.one(), K.one()]
+try:
+    witt._complement(phi, v, v)
+except SoundnessError:
+    sys.exit(3)
+sys.exit(1)
+"""
+
+
+def test_forged_complement_raises_under_O():
+    # span(v, v) is a line: its columns have rank 1, and no RREF basis of
+    # dimension n - 2 exists
+    proc = run_optimized(FORGED_COMPLEMENT)
+    assert proc.returncode == 3, proc.stderr
+
+
+def _count_field_ops(monkeypatch):
+    """Count FieldElem operator calls from here on; returns the counter."""
+    calls = [0]
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse",
+                 "__pow__"):
+        op = getattr(FieldElem, name)
+
+        def counted(*args, _op=op):
+            calls[0] += 1
+            return _op(*args)
+        monkeypatch.setattr(FieldElem, name, counted)
+    return calls
+
+
+def test_split_step_op_count(monkeypatch):
+    # a dim-12 level-2 double q + q splits into six planes; with the
+    # complement taken by dense elimination, witt_decompose made 9141
+    # FieldElem operator calls on it
+    q = random_tame_form(K2, random.Random(151), 3)
+    phi = orthogonal_sum(q, q)
+    calls = _count_field_ops(monkeypatch)
+    dec = witt_decompose(phi)
+    assert (dec.witt_index, phi.dim) == (6, 12)
+    assert calls[0] <= 9141 // 2, calls[0]
 
 
 # --- brute force oracle ---------------------------------------------------------
