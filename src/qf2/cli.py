@@ -5,8 +5,11 @@ Job syntax (also accepted line by line in --batch files):
 
     field F2((s))((t)); form pf(s,t;1); form [1,1]+s*[1,1]+<t>; run chow2,witt
 
-Flags override the config file; identical jobs and limits produce
-byte-identical JSON, whatever the worker count.
+Without --batch, the texts of --field, each --form and --run are parsed one
+by one, as given: an error is positioned in its own argument, and a `;`
+there is a parse error (but the one of a pf).  Flags override the config
+file; identical jobs and limits produce byte-identical JSON, whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from .pfister import neighbor
 from .chow import chow2_torsion, chow3_torsion
 
 SCHEMA_VERSION = "1"
-COMPUTATIONS = ("invariants", "witt", "clifford", "pfister", "chow2",
-                "chow3", "all")
 
 
 @dataclass
@@ -93,6 +94,21 @@ def _moved(exc: ParseError, text: str, start: int) -> ParseError:
     return ParseError(line, col, exc.expected, exc.found)
 
 
+def _parse_runs(text, rest, at):
+    """The comma-separated computation names of rest, which starts at offset
+    at of text; an unknown name is reported where it is in text."""
+    runs = []
+    for item in rest.split(","):
+        name = item.strip()
+        if name not in COMPUTATIONS:
+            item_at = at + len(item) - len(item.lstrip())
+            raise ParseError(*_linecol(text, item_at),
+                             f"one of {COMPUTATIONS}", name)
+        runs.append(name)
+        at += len(item) + 1
+    return runs
+
+
 def parse_job(text: str, defaults: Job = None) -> Job:
     """`field ...; form ...; run a,b` -> Job.  Statements are
     semicolon-separated; `run` takes a comma-separated computation list.
@@ -118,14 +134,7 @@ def parse_job(text: str, defaults: Job = None) -> Job:
             job.form_texts.append(rest)
             form_ats.append(rest_at)
         elif head == "run":
-            for item in rest.split(","):
-                name = item.strip()
-                if name not in COMPUTATIONS:
-                    item_at = rest_at + len(item) - len(item.lstrip())
-                    raise ParseError(*_linecol(text, item_at),
-                                     f"one of {COMPUTATIONS}", name)
-                job.runs.append(name)
-                rest_at += len(item) + 1
+            job.runs += _parse_runs(text, rest, rest_at)
         else:
             raise ParseError(*_linecol(text, at), "field / form / run", head)
     if not job.field_text:
@@ -147,29 +156,9 @@ def parse_job(text: str, defaults: Job = None) -> Job:
     return job
 
 
-def _parse_arguments(statements, defaults: Job) -> Job:
-    """parse_job on the statements (`form [1,t]`, ...) joined by "; ", with
-    a ParseError positioned in the argument of the statement it falls in,
-    as the user typed that argument."""
-    text = "; ".join(statements)
-    try:
-        return parse_job(text, defaults)
-    except ParseError as exc:
-        lines = text.split("\n")
-        at = sum(len(ln) + 1 for ln in lines[:exc.line - 1]) + exc.col - 1
-        start = 0
-        for stmt in statements[:-1]:
-            if at <= start + len(stmt):
-                break
-            start += len(stmt) + 2
-        else:
-            stmt = statements[-1]
-        arg = start + len(stmt.partition(" ")[0]) + 1
-        raise ParseError(*_linecol(text[arg:], max(at - arg, 0)),
-                         exc.expected, exc.found) from None
+# Each runner(phi, job) returns (entry, undecided).
 
-
-def _run_invariants(phi, job, flags):
+def _run_invariants(phi, job):
     out = {"dim": phi.dim, "nonsingular": phi.is_nonsingular,
            "nondegenerate": phi.is_nondegenerate}
     if phi.is_nonsingular:
@@ -179,15 +168,14 @@ def _run_invariants(phi, job, flags):
         out["arf_class"] = cls.to_json()
         disc = discriminant_algebra(phi)
         out["discriminant_algebra"] = disc.kind
-    return out
+    return out, False
 
 
-def _run_witt(phi, job, flags):
+def _run_witt(phi, job):
     verdict = decide_isotropy(phi)
     out = {"isotropy": verdict.to_json()}
-    if verdict.is_unknown:
-        flags["undecided"] = True
-    else:
+    undecided = verdict.is_unknown
+    if not undecided:
         try:
             dec = witt_decompose(phi)
             out["witt_index"] = dec.witt_index
@@ -197,7 +185,7 @@ def _run_witt(phi, job, flags):
         except Undecided as exc:
             out["witt_index"] = None
             out["reason"] = str(exc)
-            flags["undecided"] = True
+            undecided = True
     try:
         wit = brute_force_search(phi, job.degree_bound, budget=job.budget)
         out["search_witness"] = ([render_element(x) for x in wit]
@@ -205,15 +193,13 @@ def _run_witt(phi, job, flags):
     except BudgetExceeded as exc:
         out["search_witness"] = None
         out["search_budget_exhausted"] = str(exc)
-    return out
+    return out, undecided
 
 
-def _run_clifford(phi, job, flags):
+def _run_clifford(phi, job):
     out = {}
     res = splitting_index(phi)
     out["splitting_index"] = res.to_json()
-    if not res.resolved:
-        flags["undecided"] = True
     try:
         desc = even_clifford_class(phi)
         out["even_clifford_class"] = desc.to_json()
@@ -226,64 +212,63 @@ def _run_clifford(phi, job, flags):
         out["center"] = {"dimension": centre.dimension,
                          "classification": centre.classification,
                          "has_idempotent": centre.idempotent is not None}
-    return out
+    return out, not res.resolved
 
 
-def _run_pfister(phi, job, flags):
+def _run_pfister(phi, job):
     nv = neighbor(phi)
     if nv is None:
         return {"neighbor": None,
-                "note": f"no neighbor test at dimension {phi.dim}"}
-    if nv.status == "unknown":
-        flags["undecided"] = True
-    return {"neighbor": nv.to_json()}
+                "note": f"no neighbor test at dimension {phi.dim}"}, False
+    return {"neighbor": nv.to_json()}, nv.status == "unknown"
 
 
-def _chow_json(report, flags):
-    if report.kind == "AtMost":
-        flags["undecided"] = True
-    return report.to_json()
+def _run_chow2(phi, job):
+    report = chow2_torsion(phi)
+    return report.to_json(), report.kind == "AtMost"
 
 
-# runner(phi, job, flags) of each computation in COMPUTATIONS but "all"
-_RUNNERS = {
-    "invariants": _run_invariants, "witt": _run_witt,
-    "clifford": _run_clifford, "pfister": _run_pfister,
-    "chow2": lambda phi, job, flags: _chow_json(chow2_torsion(phi), flags),
-    "chow3": lambda phi, job, flags: _chow_json(chow3_torsion(phi), flags),
-}
+def _run_chow3(phi, job):
+    report = chow3_torsion(phi)
+    return report.to_json(), report.kind == "AtMost"
+
+
+# in report order
+_RUNNERS = {"invariants": _run_invariants, "witt": _run_witt,
+            "clifford": _run_clifford, "pfister": _run_pfister,
+            "chow2": _run_chow2, "chow3": _run_chow3}
+COMPUTATIONS = (*_RUNNERS, "all")
 
 
 def run_report(job: Job) -> dict:
     """Evaluate every requested computation on every form; deterministic."""
     K = parse_field(job.field_text)
-    runs = list(job.runs)
-    if "all" in runs:
-        runs = [c for c in COMPUTATIONS if c != "all"]
-    flags = {"undecided": False}
+    runs = list(_RUNNERS) if "all" in job.runs else job.runs
+    undecided = False
     forms_out = []
     for ft in job.form_texts:
         phi = parse_form(K, ft)
         entry = {"input": ft, "form": phi.to_json()}
         for comp in runs:
             try:
-                entry[comp] = _RUNNERS[comp](phi, job, flags)
+                entry[comp], bit = _RUNNERS[comp](phi, job)
             except QF2Error as exc:
                 entry[comp] = {"error": type(exc).__name__,
                                "detail": str(exc)}
-                flags["undecided"] = True
+                bit = True
+            undecided = undecided or bit
         forms_out.append(entry)
     return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
             "field": K.render(), "forms": forms_out,
-            "any_undecided": flags["undecided"]}
+            "any_undecided": undecided}
 
 
 def render_text(result: dict) -> str:
     lines = [f"field {result['field']}"]
     for entry in result["forms"]:
         lines.append(f"form {entry['input']}")
-        for comp in COMPUTATIONS:
-            if comp in entry and comp != "all":
+        for comp in _RUNNERS:
+            if comp in entry:
                 lines.append(f"  {comp}: " +
                              json.dumps(entry[comp], sort_keys=True))
     return "\n".join(lines)
@@ -301,7 +286,8 @@ def _evaluate_job_text(args_tuple):
 
 
 def _read_config(path):
-    """Flat `key = value` config (TOML-style subset: str/int/bool)."""
+    """Flat `key = value` config (TOML-style subset), as texts; _setting
+    reads the integer and true/false values."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -309,19 +295,18 @@ def _read_config(path):
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip().strip('"').strip("'")
-            if val.lower() in ("true", "false"):
-                out[key] = val.lower() == "true"
-            elif val.lstrip("-").isdigit():
-                out[key] = int(val)
-            else:
-                out[key] = val
+            out[key.strip()] = val.strip().strip('"').strip("'")
     return out
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # main reports it in one line and returns 1, not 2 (--strict's code)
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="qf2",
         description="Quadratic forms in characteristic 2: Witt/isotropy "
                     "engine, Clifford invariants, Chow-torsion oracle.")
@@ -329,10 +314,10 @@ def build_parser():
     ap.add_argument("--form", action="append", default=[],
                     help="form expression (repeatable)")
     ap.add_argument("--run", default=None,
-                    help="comma-separated: invariants,witt,clifford,"
-                         "pfister,chow2,chow3,all")
-    ap.add_argument("--json", action="store_true", help="emit JSON")
-    ap.add_argument("--strict", action="store_true",
+                    help="comma-separated: " + ",".join(COMPUTATIONS))
+    ap.add_argument("--json", action="store_true", default=None,
+                    help="emit JSON")
+    ap.add_argument("--strict", action="store_true", default=None,
                     help="exit 2 when any verdict is undecided")
     ap.add_argument("--degree-bound", type=int, default=None, metavar="N")
     ap.add_argument("--budget", type=int, default=None, metavar="N")
@@ -347,27 +332,50 @@ def build_parser():
     return ap
 
 
+def _setting(args, cfg, key, default):
+    """The flag's value, else the config file's read as the default's type
+    (int or bool), else default."""
+    if getattr(args, key) is not None:
+        return getattr(args, key)
+    if key not in cfg:
+        return default
+    text = cfg[key].lower()
+    if type(default) is bool and text in ("true", "false"):
+        return text == "true"
+    if type(default) is int and re.fullmatch(r"[-+]?\d+", text):
+        return int(text)
+    kind = "true or false" if type(default) is bool else "an integer"
+    raise argparse.ArgumentError(
+        None, f"config {key} = {cfg[key]!r}: expected {kind}")
+
+
+def _argument_job(args, cfg, defaults: Job) -> Job:
+    """The job of --field, --form and --run (or their config values), each
+    parsed as given, so that a ParseError is positioned in its own text."""
+    field_text = args.field or cfg.get("field")
+    forms = args.form or ([cfg["form"]] if "form" in cfg else [])
+    run_text = args.run or cfg.get("run", "all")
+    if not field_text or not forms:
+        raise argparse.ArgumentError(None, "need --field and --form "
+                                     "(or --batch)")
+    runs = _parse_runs(run_text, run_text, 0)
+    K = parse_field(field_text)
+    for ft in forms:
+        parse_form(K, ft)
+    return dataclasses.replace(defaults, field_text=field_text.strip(),
+                               form_texts=[ft.strip() for ft in forms],
+                               runs=runs)
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
-            cfg = _read_config(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-    defaults = Job(
-        json_output=args.json or bool(cfg.get("json", False)),
-        strict=args.strict or bool(cfg.get("strict", False)),
-        degree_bound=(args.degree_bound if args.degree_bound is not None
-                      else int(cfg.get("degree_bound", 6))),
-        budget=(args.budget if args.budget is not None
-                else int(cfg.get("budget", 200_000))),
-        seed=(args.seed if args.seed is not None
-              else int(cfg.get("seed", 2))),
-    )
     try:
+        args = build_parser().parse_args(argv)
+        cfg = _read_config(args.config) if args.config else {}
+        defaults = Job(
+            json_output=_setting(args, cfg, "json", False),
+            strict=_setting(args, cfg, "strict", False),
+            **{key: _setting(args, cfg, key, getattr(Job, key))
+               for key in ("degree_bound", "budget", "seed")})
         if args.batch:
             with open(args.batch, "r", encoding="utf-8") as fh:
                 payload = [(ln.rstrip("\n"), defaults, line)
@@ -381,35 +389,24 @@ def main(argv=None):
             else:
                 results = [_evaluate_job_text(p) for p in payload]
             doc = {"schema_version": SCHEMA_VERSION, "jobs": results}
-            undecided = any(r["any_undecided"] for r in results)
-            if defaults.json_output:
-                print(json.dumps(doc, sort_keys=True, indent=1))
-            else:
-                for r in results:
-                    print(render_text(r))
         else:
-            field_text = args.field or cfg.get("field")
-            forms = list(args.form) or ([cfg["form"]] if "form" in cfg else [])
-            run_text = args.run or cfg.get("run", "all")
-            if not field_text or not forms:
-                ap.error("need --field and --form (or --batch)")
-            stmts = [f"field {field_text}"]
-            stmts += [f"form {f}" for f in forms]
-            stmts.append(f"run {run_text}")
-            job = _parse_arguments(stmts, defaults)
-            result = run_report(job)
-            undecided = result["any_undecided"]
-            if defaults.json_output:
-                print(json.dumps(result, sort_keys=True, indent=1))
-            else:
-                print(render_text(result))
+            doc = run_report(_argument_job(args, cfg, defaults))
+            results = [doc]
+        if defaults.json_output:
+            print(json.dumps(doc, sort_keys=True, indent=1))
+        else:
+            for r in results:
+                print(render_text(r))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except QF2Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if defaults.strict and undecided:
+    except (argparse.ArgumentError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if defaults.strict and any(r["any_undecided"] for r in results):
         return 2
     return 0
 

@@ -174,37 +174,24 @@ class _GF2e:
         return self.mul(a, a) ^ a
 
     def wp_solve(self, c: int) -> Optional[int]:
-        """A root of z^2 + z = c, or None (exists iff trace 0)."""
+        """The root of z^2 + z = c with bit 0 clear, or None (a root exists
+        iff trace 0).
+
+        With theta of trace 1, z = sum_{i<e-1} c^(2^i) sum_{i<j<e} theta^(2^j)
+        is a root (Lidl-Niederreiter); the other root is z + 1."""
         if self.trace(c):
             return None
-        # z -> z^2 + z is F_2-linear; solve the e x e bit system over the
-        # basis images by elimination.
-        images = [self.wp_image(1 << i) for i in range(self.e)]
-        rows = [[(images[j] >> bit) & 1 for j in range(self.e)] + [(c >> bit) & 1]
-                for bit in range(self.e)]
-        n = self.e
-        piv_of_col = [-1] * n
-        r = 0
-        for col in range(n):
-            pr = None
-            for i in range(r, n):
-                if rows[i][col]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            for i in range(n):
-                if i != r and rows[i][col]:
-                    rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
-            piv_of_col[col] = r
-            r += 1
-        z = 0
-        for col in range(n):
-            if piv_of_col[col] >= 0 and rows[piv_of_col[col]][n]:
-                z |= 1 << col
+        theta = _canonical_trace_one(self.e)
+        # step i: ci = c^(2^i), conj = theta^(2^i) and tail the inner sum,
+        # at i = 0 trace(theta) + theta = 1 + theta
+        z, ci, conj, tail = 0, c, theta, theta ^ 1
+        for _ in range(self.e - 1):
+            z ^= self.mul(ci, tail)
+            ci, conj = self.square(ci), self.square(conj)
+            tail ^= conj
+        z &= ~1
         if self.wp_image(z) != c:
-            return None
+            raise SoundnessError("wp_solve root check failed")
         return z
 
 
@@ -890,10 +877,15 @@ class WpClass:
 
 @lru_cache(maxsize=None)
 def _canonical_trace_one(e: int) -> int:
+    """The least element of trace 1 in F_{2^e}, as a bitmask.
+
+    The trace is F_2-linear in the bits, so every integer below 1 << k has
+    trace 0 when the basis bits below k do; the least one is 1 << k for the
+    first basis bit k of trace 1."""
     gf = _gf(e)
-    for x in range(1, gf.q):
-        if gf.trace(x) == 1:
-            return x
+    for k in range(e):
+        if gf.trace(1 << k) == 1:
+            return 1 << k
     raise SoundnessError("no trace-one element")
 
 

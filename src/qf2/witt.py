@@ -122,15 +122,11 @@ def _finite_witness_binary(K, a, b):
 
 
 def _finite_solve_value(K, a, b, c):
-    """Some (x, y) with [a,b](x,y) = c over F_q; anisotropic binaries are
-    universal over finite fields, so c != 0 always has a solution."""
-    q = 1 << K.base_exponent
-    for xi in range(q):
-        for yi in range(q):
-            x, y = FieldElem(K, xi), FieldElem(K, yi)
-            if a * x * x + x * y + b * y * y == c:
-                return x, y
-    return None
+    """(0, y) with [a,b](0, y) = b*y^2 = c over F_q, for b != 0 (as in every
+    anisotropic block): squaring is bijective on a finite field of
+    characteristic 2, so y = sqrt(c/b) is the only choice with x = 0."""
+    y = _gf(K.base_exponent).sqrt_exact((c / b).data)
+    return K.zero(), FieldElem(K, y)
 
 
 def _finite_decide(phi: QuadraticForm) -> IsotropyVerdict:

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from qf2.cli import (Job, build_parser, main, parse_job, render_text,
-                     run_report)
+from qf2.cli import (COMPUTATIONS, Job, build_parser, main, parse_job,
+                     render_text, run_report)
 from qf2.errors import Degenerate, ParseError
 from qf2.fieldtower import parse_field
 from qf2.forms import parse_form
@@ -193,10 +193,93 @@ def test_parse_job_positions_errors_on_later_lines():
     (["--form", "[1,\n1+]"], "line 2, col 3: expected a variable"),
     (["--form", "[1,t]", "--run", "witt, fly"], "line 1, col 7: expected one "
      "of"),
+    (["--form", "\n [1,1,1]"], "line 2, col 6: expected ']'"),
+    # each argument is parsed on its own: a ';' cannot add a statement
+    (["--form", "[1,t]", "--run", "witt; form [1,t]"], "line 1, col 1: "
+     "expected one of"),
+    (["--field", "F2((t)); form [1,t]", "--form", "[1,t]"], "line 1, col 8: "
+     "expected end of field declaration, found ';'"),
+    (["--form", "[1,1]; run invariants", "--run", "witt"], "line 1, col 6: "
+     "expected end of form expression, found ';'"),
 ])
 def test_argument_errors_are_positioned_in_the_argument(capsys, args, where):
     assert main(["--field", "F2((t))"] + args) == 1
-    assert capsys.readouterr().err.startswith(f"parse error: {where}")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"parse error: {where}")
+    assert captured.out == ""
+
+
+def test_arguments_are_stripped_as_in_a_job_line(capsys):
+    # the job keeps the stripped texts, as a batch line does; the pf
+    # semicolon belongs to the form
+    assert main(["--field", " F2((t)) ", "--form", "  pf(t;1) + pf (t ; t) ",
+                 "--run", " witt,invariants ", "--json"]) == 0
+    rep = run_report(parse_job("field F2((t)); form pf(t;1) + pf (t ; t); "
+                               "run witt,invariants"))
+    assert capsys.readouterr().out == \
+        json.dumps(rep, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("comp", ["witt", "clifford", "pfister", "chow2",
+                                  "chow3"])
+def test_each_runner_reports_its_own_undecided_bit(comp):
+    def undecided(text, runs):
+        return run_report(parse_job(f"field F2((s))((t)); form {text}; "
+                                    f"run {runs}"))["any_undecided"]
+
+    wild = "[1,s*t^-2]+[1,1]+s*[1,1]"
+    assert undecided(wild, "invariants") is False
+    assert undecided(wild, f"invariants,{comp}") is True
+    assert undecided("[1,1]+s*[1,1]+t*[1,s]+<s*t>", comp) is False
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--workers", "abc", "--batch", "jobs.txt"],
+     "argument --workers: invalid int value: 'abc'"),
+    (["--form", "[1,t]"], "need --field and --form"),
+    (["--field", "F2((t))"], "need --field and --form"),
+    (["--batch", "missing.jobs"], "No such file or directory"),
+    (["--config", "bad.cfg", "--field", "F2((t))", "--form", "[1,t]"],
+     "config degree_bound = 'abc': expected an integer"),
+    (["--config", "strict.cfg", "--field", "F2((s))((t))", "--form",
+      "[1,s*t^-2]+[1,1]"], "config strict = 'off': expected true or false"),
+    (["--config", "missing.cfg", "--field", "F2((t))", "--form", "[1,t]"],
+     "No such file or directory"),
+])
+def test_input_failures_are_one_error_line(tmp_path, monkeypatch, capsys,
+                                           args, message):
+    # neither a traceback nor exit 2, which --strict keeps for undecided
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("degree_bound = abc\n")
+    (tmp_path / "strict.cfg").write_text("strict = off\n")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_config_values_are_parsed_as_text(tmp_path, capsys):
+    cfg = tmp_path / "qf2.cfg"
+    cfg.write_text("field = F2((t))\nform = 1\n")
+    assert main(["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("parse error: line 1, col 1:")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qf2")
+
+
+def test_computations_are_listed_once():
+    assert build_parser().format_help().count(
+        ",".join(COMPUTATIONS)) == 1
+    rep = run_report(parse_job("field F2((t)); form [1,t]; run all"))
+    assert tuple(rep["forms"][0])[2:] == COMPUTATIONS[:-1]
+    lines = render_text(rep).splitlines()[2:]
+    assert [ln.split(":")[0].strip() for ln in lines] == \
+        list(COMPUTATIONS[:-1])
 
 
 def test_batch_errors_name_the_file_line(tmp_path):

@@ -643,3 +643,40 @@ def test_discriminant_algebra_over_F2_12_is_fast():
     assert ext.new_field == FieldDescriptor(24, ("t",))
     alpha = ext.embed(K.from_base(x))
     assert ext.theta * ext.theta + ext.theta == alpha
+
+
+# --- finite-field closed forms ----------------------------------------------
+
+def test_canonical_trace_one_matches_scan():
+    for e in range(1, 17):
+        gf = fieldtower._gf(e)
+        scan = next(x for x in range(1, gf.q) if gf.trace(x) == 1)
+        assert fieldtower._canonical_trace_one(e) == scan, e
+    assert fieldtower._canonical_trace_one(20) == 1 << 17
+    assert fieldtower._canonical_trace_one(24) == 1 << 21
+
+
+def test_wp_solve_exhaustive():
+    # the root with bit 0 clear, the one the bit elimination's free column
+    # picked; None exactly on trace 1
+    for e in range(1, 11):
+        gf = fieldtower._gf(e)
+        for c in range(gf.q):
+            z = gf.wp_solve(c)
+            if gf.trace(c):
+                assert z is None, (e, c)
+            else:
+                assert gf.wp_image(z) == c and z & 1 == 0, (e, c)
+
+
+def test_wp_class_representative_over_F2_20_is_fast():
+    # the representative of a tame wp class is the trace-one element
+    from time import perf_counter
+    from qf2.forms import parse_form
+    from qf2.witt import decide_isotropy
+    K = parse_field("F2^20((t))")
+    fieldtower._canonical_trace_one.cache_clear()
+    t0 = perf_counter()
+    v = decide_isotropy(parse_form(K, f"[1,t^-2+t^-1+{1 << 17}]+<t>"))
+    assert perf_counter() - t0 < 2.0
+    assert not v.is_unknown

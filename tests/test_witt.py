@@ -79,6 +79,16 @@ def test_quasilinear_dependent_witness():
     assert v.form.evaluate(v.witness).is_zero()
 
 
+def test_finite_solve_value_takes_x_zero():
+    for K in (F2, F4, parse_field("F2^3")):
+        elems = [FieldElem(K, i) for i in range(1 << K.base_exponent)]
+        for a in elems:
+            for b in elems[1:]:
+                for c in elems:
+                    x, y = witt._finite_solve_value(K, a, b, c)
+                    assert x.is_zero() and a * x * x + x * y + b * y * y == c
+
+
 def test_finite_base_rules():
     assert decide_isotropy(form(F2, "[1,1]")).is_anisotropic
     assert decide_isotropy(form(F2, "[1,1]+[1,1]")).is_isotropic
