@@ -270,11 +270,12 @@ def _index_vanishing_rules(phi, dim, arf_zero, cert):
         return _exact(3, phi, 1, True, ["ind-vanishing-dim9"],
                       certificates=cert)
     # hyperbolic over the discriminant field (even dim > 8, Arf != 0)
+    disc = None
     if dim in (10, 12) and phi.is_nonsingular and not arf_zero:
         disc = discriminant_algebra(phi)
         if disc.kind == "field":
             try:
-                iw = witt_index_over_ext(phi, disc.extension)
+                iw = witt_index_over_ext(phi, disc)
             except Undecided:
                 iw = None
             if iw == dim // 2:
@@ -289,20 +290,17 @@ def _index_vanishing_rules(phi, dim, arf_zero, cert):
     # dim 10 with a norm-form splitting phi = tau _|_ c N_L (Arf != 0):
     # vanishing unless the escape configuration resists; only the certified
     # branch (ind >= 2) is claimed here
-    if dim == 10 and phi.is_nonsingular and not arf_zero and lo >= 2:
-        disc = discriminant_algebra(phi)
-        if disc.kind == "field":
-            delta = disc.representative
-            K = phi.field
-            sigma = QuadraticForm(K, ((K.one(), delta),))
-            for c_try in default_slot_pool(phi):
-                try:
-                    if subform_test(scale(c_try, sigma), phi):
-                        return _exact(3, phi, 1, True,
-                                      ["dim10-norm-decomposition"],
-                                      certificates=cert)
-                except Undecided:
-                    continue
+    if dim == 10 and disc is not None and disc.kind == "field" and lo >= 2:
+        K = phi.field
+        sigma = QuadraticForm(K, ((K.one(), disc.delta),))
+        for c_try in default_slot_pool(phi):
+            try:
+                if subform_test(scale(c_try, sigma), phi):
+                    return _exact(3, phi, 1, True,
+                                  ["dim10-norm-decomposition"],
+                                  certificates=cert)
+            except Undecided:
+                continue
     return None
 
 

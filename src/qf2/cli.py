@@ -285,9 +285,16 @@ def _evaluate_job_text(args_tuple):
     return run_report(job)
 
 
+_CONFIG_KEYS = ("field", "form", "run", "json", "strict", "degree_bound",
+               "budget", "seed")
+# the least value of an integer setting; seed takes any integer
+_LEAST = {"degree_bound": 0, "budget": 0, "workers": 1}
+
+
 def _read_config(path):
     """Flat `key = value` config (TOML-style subset), as texts; _setting
-    reads the integer and true/false values."""
+    reads the integer and true/false values.  A key outside _CONFIG_KEYS is
+    an error."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -295,8 +302,22 @@ def _read_config(path):
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip().strip('"').strip("'")
+            key, val = key.strip(), val.strip().strip('"').strip("'")
+            if key not in _CONFIG_KEYS:
+                raise argparse.ArgumentError(
+                    None, f"config {key} = {val!r}: unknown key, expected "
+                          f"one of {', '.join(_CONFIG_KEYS)}")
+            out[key] = val
     return out
+
+
+def _at_least(name, key, value):
+    """value, when it is at least _LEAST[key] (if any); name says where it
+    came from."""
+    if value < _LEAST.get(key, value):
+        raise argparse.ArgumentError(
+            None, f"{name}: expected an integer >= {_LEAST[key]}")
+    return value
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -334,19 +355,20 @@ def build_parser():
 
 def _setting(args, cfg, key, default):
     """The flag's value, else the config file's read as the default's type
-    (int or bool), else default."""
-    if getattr(args, key) is not None:
-        return getattr(args, key)
+    (int or bool), else default; an integer below its _LEAST is an error."""
+    flag = getattr(args, key)
+    if flag is not None:
+        return _at_least(f"--{key.replace('_', '-')} {flag}", key, flag)
     if key not in cfg:
         return default
     text = cfg[key].lower()
     if type(default) is bool and text in ("true", "false"):
         return text == "true"
+    where = f"config {key} = {cfg[key]!r}"
     if type(default) is int and re.fullmatch(r"[-+]?\d+", text):
-        return int(text)
+        return _at_least(where, key, int(text))
     kind = "true or false" if type(default) is bool else "an integer"
-    raise argparse.ArgumentError(
-        None, f"config {key} = {cfg[key]!r}: expected {kind}")
+    raise argparse.ArgumentError(None, f"{where}: expected {kind}")
 
 
 def _argument_job(args, cfg, defaults: Job) -> Job:
@@ -370,6 +392,7 @@ def _argument_job(args, cfg, defaults: Job) -> Job:
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        _at_least(f"--workers {args.workers}", "workers", args.workers)
         cfg = _read_config(args.config) if args.config else {}
         defaults = Job(
             json_output=_setting(args, cfg, "json", False),

@@ -21,11 +21,10 @@ from typing import Optional
 
 from .errors import (DimensionCap, NotAlbert, OddDimension, SoundnessError,
                      Undecided)
-from .fieldtower import (FieldElem, is_square, quad_extend, render_element,
-                         wp_member, wp_reduce, wp_root)
-from .forms import (DiscriminantAlgebra, QuadraticForm, arf,
-                    arf_representative, discriminant_algebra, orthogonal_sum,
-                    scale)
+from .fieldtower import (ExtensionResult, FieldElem, is_square, quad_extend,
+                         render_element, wp_member, wp_root)
+from .forms import (QuadraticForm, arf, arf_representative,
+                    discriminant_algebra, orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 
 __all__ = [
@@ -203,10 +202,9 @@ def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
     delta = arf_representative(A.form)
     if not A.equal(A.mul(u, u), A.add(u, {0: delta})):
         raise SoundnessError("u^2 + u is not scalar")
-    cls = wp_reduce(delta)
-    if not cls.is_zero():
-        classification = "field" if cls.is_tame() else "unsupported"
-        return CenterResult(2, delta, classification, None)
+    kind = quad_extend(A.K, delta).kind
+    if kind != "split":
+        return CenterResult(2, delta, kind, None)
     z = wp_root(delta)
     idem = A.add(u, {0: z}) if z is not None else None
     if idem is not None and not A.equal(A.mul(idem, idem), idem):
@@ -344,7 +342,7 @@ class AlgebraClassDescriptor:
     the center, an optional small companion form in I^2_q, and the certified
     index interval (powers of 2)."""
 
-    center: DiscriminantAlgebra
+    center: ExtensionResult
     symbols: tuple
     companion_form: Optional[QuadraticForm]
     index_interval: tuple
@@ -364,44 +362,31 @@ def even_clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:
     """Descriptor of [C'_0(phi)] over its center.
 
     Odd dim: phi = psi + <c> gives C_0(phi) = C(c psi) over K.
-    Even dim, trivial Arf: [C'_0] = [C(phi)] over K.
-    Even dim, nonzero Arf: base-change the block symbols to the discriminant
-    field when it is unramified; otherwise the interval stays wide open.
+    Even dim: [C'_0] is [C(phi)] over the centre's field (K itself when the
+    Arf invariant is trivial), so the block symbols are embedded there; a
+    ramified centre leaves the interval wide open.
     """
     K = phi.field
-    rules = []
     if phi.is_nonsingular:
         center = discriminant_algebra(phi)
-        if center.kind == "split":
-            syms = _symbols_of_even_form(phi)
-            interval = _index_interval_of_symbols(K, syms)
-            rules.append("even-trivial-arf-symbols")
-            return AlgebraClassDescriptor(center, tuple(syms), None,
-                                          interval, tuple(rules))
-        if center.kind == "field":
-            ext = center.extension
-            K2 = ext.new_field
-            syms = [(a.lift_to(K2), b.lift_to(K2))
-                    for a, b in _symbols_of_even_form(phi)]
-            interval = _index_interval_of_symbols(K2, syms)
-            rules.append("even-arf-symbols-over-Z")
-            return AlgebraClassDescriptor(center, tuple(syms), None,
-                                          interval, tuple(rules))
-        m = (phi.dim - 1) // 2
-        rules.append("ramified-center")
-        return AlgebraClassDescriptor(center, (), None, (1, 2 ** m),
-                                      tuple(rules))
+        if center.kind == "unsupported":
+            return AlgebraClassDescriptor(center, (), None,
+                                          (1, 2 ** ((phi.dim - 1) // 2)),
+                                          ("ramified-center",))
+        syms = [(center.embed(a), center.embed(b))
+                for a, b in _symbols_of_even_form(phi)]
+        rule = "even-trivial-arf-symbols" if center.kind == "split" \
+            else "even-arf-symbols-over-Z"
+        return AlgebraClassDescriptor(
+            center, tuple(syms), None,
+            _index_interval_of_symbols(center.new_field, syms), (rule,))
     if len(phi.quasilinear) == 1:
         # C_0(psi + <c>) = C(c psi), central simple over K itself
-        c = phi.quasilinear[0]
-        comp = scale(c, QuadraticForm(K, phi.blocks))
+        comp = scale(phi.quasilinear[0], QuadraticForm(K, phi.blocks))
         syms = _symbols_of_even_form(comp)
-        interval = _index_interval_of_symbols(K, syms)
-        rules.append("odd-scaled-symbols")
-        center = DiscriminantAlgebra("split", K.zero(),
-                                     quad_extend(K, K.zero()))
-        return AlgebraClassDescriptor(center, tuple(syms), comp,
-                                      interval, tuple(rules))
+        return AlgebraClassDescriptor(
+            quad_extend(K, K.zero()), tuple(syms), comp,
+            _index_interval_of_symbols(K, syms), ("odd-scaled-symbols",))
     raise OddDimension("need a nondegenerate form")
 
 
@@ -491,7 +476,7 @@ def _splitting_index_anisotropic(phi: QuadraticForm) -> SplittingIndexResult:
             return _resolved(4, 2, "pfister4-anisotropic")
         if disc.kind == "field":
             try:
-                iw = witt_index_over_ext(phi, disc.extension)
+                iw = witt_index_over_ext(phi, disc)
             except Undecided:
                 return _interval(4, 1, 2, "dim4-ext-undecided")
             return _resolved(4, 2 if iw == 0 else 1, "dim4-over-Z")
@@ -508,16 +493,16 @@ def _splitting_index_anisotropic(phi: QuadraticForm) -> SplittingIndexResult:
             return _interval(5, 1, 4, "dim5-companion-undecided")
         return _resolved(5, ind, "dim5-companion-albert")
     if dim == 6:
-        if arf(phi).is_zero():
+        disc = discriminant_algebra(phi)
+        if disc.kind == "split":
             try:
                 return _resolved(6, albert_index(phi), "dim6-albert")
             except Undecided:
                 return _interval(6, 1, 4, "dim6-albert-undecided")
-        disc = discriminant_algebra(phi)
         if disc.kind != "field":
             return _interval(6, 1, 4, "dim6-ramified")
         try:
-            iw = witt_index_over_ext(phi, disc.extension)
+            iw = witt_index_over_ext(phi, disc)
         except Undecided:
             return _interval(6, 1, 4, "dim6-ext-undecided")
         ind = {0: 4, 1: 2, 3: 1}.get(iw)

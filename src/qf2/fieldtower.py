@@ -104,12 +104,22 @@ def _poly2_rem(a: int, b: int) -> int:
 def _modulus(e: int) -> int:
     """Smallest irreducible polynomial of degree e over F_2, as a bitmask.
 
-    For e = 1 this is x itself (F_2[x]/(x) = F_2); from e = 2 on, trial
-    division by every polynomial of degree 1..e//2 rejects the reducible
-    candidates (x included, so every even candidate).
+    Ben-Or's test: f of degree e is irreducible iff gcd(f, x^(2^k) + x) = 1
+    for k = 1..e//2, since x^(2^k) + x is the product of the irreducibles
+    of degree dividing k.  For e = 1 no k is tested and the result is x
+    itself (F_2[x]/(x) = F_2); from e = 2 on, k = 1 rejects x and with it
+    every even candidate.
     """
     for f in range(1 << e, 1 << (e + 1)):
-        if all(_poly2_rem(f, d) for d in range(2, 1 << (e // 2 + 1))):
+        x_pow = 2                       # x^(2^k) mod f
+        for _ in range(e // 2):
+            x_pow = _poly2_rem(_poly2_mul(x_pow, x_pow), f)
+            g, h = f, x_pow ^ 2
+            while h:
+                g, h = h, _poly2_rem(g, h)
+            if g != 1:
+                break
+        else:
             return f
 
 
@@ -1017,45 +1027,37 @@ def wp_root(a: FieldElem) -> Optional[FieldElem]:
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Classification of K[theta]/(theta^2 + theta + delta).
+    """The algebra L = K[T]/(T^2 + T + delta), classified by quad_extend.
 
-    kind is one of "split" (etale K x K), "unramified" (constants extended:
-    base F_{2^e} -> F_{2^{2e}}), "ramified" (unsupported in v1: consumers
-    must degrade to Unknown verdicts).
+    kind is one of "split" (L = K x K; new_field is K itself), "field" (a
+    tame class: L is the constant extension, base F_{2^e} -> F_{2^{2e}}),
+    "unsupported" (a wild class, ramified: new_field is None, and consumers
+    degrade to Unknown verdicts).
     """
 
     kind: str
-    field: FieldDescriptor
-    new_field: Optional[FieldDescriptor] = None
-    theta: Optional[FieldElem] = None
-
-    @property
-    def is_supported(self) -> bool:
-        return self.kind != "ramified"
+    delta: FieldElem
+    new_field: Optional[FieldDescriptor]
 
     def embed(self, x: FieldElem) -> FieldElem:
-        if self.kind == "split":
-            return x
-        if self.kind != "unramified":
+        """x in new_field (a factor of L when split)."""
+        if self.new_field is None:
             raise FieldMismatch("no embedding for a ramified extension")
         return x.lift_to(self.new_field)
 
 
 def quad_extend(K: FieldDescriptor, delta: FieldElem) -> ExtensionResult:
-    """Classify the discriminant-type algebra K[T]/(T^2 - T - delta)."""
+    """Classify K[T]/(T^2 + T + delta) by the wp-class of delta: zero is
+    "split", tame is "field", wild is "unsupported"."""
     if delta.field != K:
         raise FieldMismatch("delta not over K")
     cls = wp_reduce(delta)
     if cls.is_zero():
-        return ExtensionResult("split", K, new_field=K)
+        return ExtensionResult("split", delta, K)
     if cls.is_tame():
-        e = K.base_exponent
-        K2 = FieldDescriptor(2 * e, K.variables)
-        alpha = _canonical_trace_one(e)
-        theta_bits = _gf(2 * e).wp_solve(_embed_base(alpha, e, 2 * e))
-        theta = K2.from_base(theta_bits) if theta_bits is not None else None
-        return ExtensionResult("unramified", K, new_field=K2, theta=theta)
-    return ExtensionResult("ramified", K)
+        K2 = FieldDescriptor(2 * K.base_exponent, K.variables)
+        return ExtensionResult("field", delta, K2)
+    return ExtensionResult("unsupported", delta, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Quadratic forms in characteristic 2: normal form, Arf invariant,
-discriminant algebra, sums/scaling, subform and representation tests.
+discriminant algebra (K[T]/(T^2 + T + delta) for delta the Arf
+representative, classified once by quad_extend as "split", "field" or
+"unsupported"), sums/scaling, subform and representation tests.
 
 A form is an orthogonal sum of binary blocks [a,b] = ax^2 + xy + by^2 plus a
 quasilinear diagonal <c_1,...,c_r> (each c_j nonzero).  Nonsingular means no
@@ -20,7 +22,7 @@ from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem,
                          wp_reduce)
 
 __all__ = [
-    "QuadraticForm", "GramInput", "DiscriminantAlgebra",
+    "QuadraticForm", "GramInput",
     "hyperbolic_plane", "hyperbolic", "block",
     "normal_form", "normal_form_trace", "arf", "arf_representative",
     "discriminant_algebra", "combine", "orthogonal_sum", "scale",
@@ -278,21 +280,9 @@ def arf(phi: QuadraticForm) -> WpClass:
     return wp_reduce(arf_representative(phi))
 
 
-@dataclass(frozen=True)
-class DiscriminantAlgebra:
-    """K[T]/(T^2 - T - alpha) for alpha the Arf representative."""
-
-    kind: str                    # "split" | "field" | "unsupported"
-    representative: FieldElem
-    extension: ExtensionResult
-
-
-def discriminant_algebra(phi: QuadraticForm) -> DiscriminantAlgebra:
-    alpha = arf_representative(phi)
-    ext = quad_extend(phi.field, alpha)
-    kind = {"split": "split", "unramified": "field",
-            "ramified": "unsupported"}[ext.kind]
-    return DiscriminantAlgebra(kind, alpha, ext)
+def discriminant_algebra(phi: QuadraticForm) -> ExtensionResult:
+    """K[T]/(T^2 + T + delta) for delta the Arf representative."""
+    return quad_extend(phi.field, arf_representative(phi))
 
 
 # ---------------------------------------------------------------------------

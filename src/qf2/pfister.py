@@ -215,14 +215,14 @@ def neighbor_dim6(phi: QuadraticForm) -> NeighborVerdict:
                                reason=iso.reason)
     if iso.is_isotropic:
         return NeighborVerdict("no", "not-anisotropic")
-    if arf(phi).is_zero():
-        return NeighborVerdict("no", "albert-form")
     disc = discriminant_algebra(phi)
+    if disc.kind == "split":
+        return NeighborVerdict("no", "albert-form")
     if disc.kind != "field":
         return NeighborVerdict("unknown", "discriminant-unsupported",
                                reason="ramified discriminant class")
     try:
-        iw = witt_index_over_ext(phi, disc.extension)
+        iw = witt_index_over_ext(phi, disc)
     except Undecided as exc:
         return NeighborVerdict("unknown", "extension-witt-undecided",
                                reason=str(exc))

@@ -747,11 +747,10 @@ def _row_polar(phi, r, s):
 # ---------------------------------------------------------------------------
 # Brute-force search (independent one-sided oracle).
 
-def _candidate_pool(K: FieldDescriptor, degree_bound: int):
-    """Deterministic candidate entries as (constant bits, exponents): 0 (as
-    (0, None)), then c * monomial ordered by (total degree, exponents,
-    constant).  Per-variable degree is capped at ceil(bound/2) as the
-    valuation-pruning heuristic."""
+def _monomials(K: FieldDescriptor, degree_bound: int):
+    """The exponent tuples of the candidate entries, ordered by (total
+    degree, exponents).  Per-variable degree is capped at ceil(bound/2) as
+    the valuation-pruning heuristic."""
     nvars = K.level
     per_var = max(1, (degree_bound + 1) // 2)
     monos = []
@@ -765,11 +764,7 @@ def _candidate_pool(K: FieldDescriptor, degree_bound: int):
 
     rec([], degree_bound)
     monos.sort(key=lambda m: (sum(m), m))
-    pool = [(0, None)]
-    for m in monos:
-        for cbits in range(1, 1 << K.base_exponent):
-            pool.append((cbits, m))
-    return pool
+    return monos
 
 
 def _pool_element(K: FieldDescriptor, entry) -> FieldElem:
@@ -838,8 +833,12 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
     found is checked through phi.evaluate; a failed check raises
     SoundnessError."""
     K = phi.field
-    pool = _candidate_pool(K, degree_bound)
-    p = len(pool)
+    e = K.base_exponent
+    # the pool (0, then c * monomial for each constant c != 0) has p
+    # entries, p growing as 2^e; it is counted here and built only after
+    # the budget test
+    monos = _monomials(K, degree_bound)
+    p = 1 + len(monos) * ((1 << e) - 1)
     nb = len(phi.blocks)
     base = 2 * nb
     groups = [("b", i, (2 * i, 2 * i + 1), p * p) for i in range(nb)] + \
@@ -856,13 +855,15 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
         cost[side] *= g[3]
     if cost[0] + cost[1] > budget:
         raise BudgetExceeded(f"{cost[0] + cost[1]} nodes")
+    # (constant bits, exponents): 0 as (0, None), then c * monomial in
+    # (monomial, constant) order
+    pool = [(0, None)] + [(c, m) for m in monos for c in range(1, 1 << e)]
 
     # clear denominators once; D*a, D*b, D*c_j and D are polynomials
     coeffs = [x for blk in phi.blocks for x in blk] + list(phi.quasilinear)
     D = K.one()
     for x in coeffs:
         D = D * _denominator(D * x)
-    e = K.base_exponent
     gf = _gf(e)
     consts = range(1 << e)
     polys = [_terms(D * x) for x in coeffs] + [_terms(D)]
@@ -942,15 +943,12 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
 # Witt index over a quadratic extension.
 
 def witt_index_over_ext(phi: QuadraticForm, ext: ExtensionResult) -> int:
-    """i_W of phi over the etale algebra classified by ext.
-
-    Split: both factors are K itself.  Unramified: re-express phi over the
-    extended tower.  Ramified: unsupported in v1 (Undecided)."""
-    if ext.kind == "split":
-        return witt_decompose(phi).witt_index
-    if ext.kind == "unramified":
-        K2 = ext.new_field
-        blocks = tuple((a.lift_to(K2), b.lift_to(K2)) for a, b in phi.blocks)
-        ql = tuple(c.lift_to(K2) for c in phi.quasilinear)
-        return witt_decompose(QuadraticForm(K2, blocks, ql)).witt_index
-    raise Undecided("ramified discriminant extension")
+    """i_W of phi over the etale algebra classified by ext: phi with its
+    entries embedded in ext.new_field (K itself when split, each factor
+    being K).  A ramified extension is unsupported (Undecided)."""
+    if ext.kind == "unsupported":
+        raise Undecided("ramified discriminant extension")
+    blocks = tuple((ext.embed(a), ext.embed(b)) for a, b in phi.blocks)
+    ql = tuple(ext.embed(c) for c in phi.quasilinear)
+    return witt_decompose(QuadraticForm(ext.new_field, blocks,
+                                        ql)).witt_index

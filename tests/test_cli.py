@@ -245,6 +245,19 @@ def test_each_runner_reports_its_own_undecided_bit(comp):
       "[1,s*t^-2]+[1,1]"], "config strict = 'off': expected true or false"),
     (["--config", "missing.cfg", "--field", "F2((t))", "--form", "[1,t]"],
      "No such file or directory"),
+    (["--config", "dash.cfg", "--field", "F2((t))", "--form", "[1,t]"],
+     "config degree-bound = '3': unknown key, expected one of field, form, "
+     "run, json, strict, degree_bound, budget, seed"),
+    (["--workers", "0", "--field", "F2((t))", "--form", "[1,t]"],
+     "--workers 0: expected an integer >= 1"),
+    (["--workers", "-2", "--batch", "jobs.txt"],
+     "--workers -2: expected an integer >= 1"),
+    (["--degree-bound", "-1", "--field", "F2((t))", "--form", "[1,t]"],
+     "--degree-bound -1: expected an integer >= 0"),
+    (["--budget", "-5", "--field", "F2((t))", "--form", "[1,t]"],
+     "--budget -5: expected an integer >= 0"),
+    (["--config", "negative.cfg", "--field", "F2((t))", "--form", "[1,t]"],
+     "config budget = '-5': expected an integer >= 0"),
 ])
 def test_input_failures_are_one_error_line(tmp_path, monkeypatch, capsys,
                                            args, message):
@@ -252,10 +265,25 @@ def test_input_failures_are_one_error_line(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text("degree_bound = abc\n")
     (tmp_path / "strict.cfg").write_text("strict = off\n")
+    (tmp_path / "dash.cfg").write_text("# dash for underscore\n"
+                                       "degree-bound = 3\n")
+    (tmp_path / "negative.cfg").write_text("degree_bound = 2\nbudget = -5\n")
     assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_least_settings_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "qf2.cfg"
+    cfg.write_text("degree_bound = 0\nbudget = 0\nseed = -3\n")
+    assert main(["--config", str(cfg), "--field", "F2((t))", "--form",
+                 "[1,1]", "--run", "witt", "--json", "--workers", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["job"]["limits"] == {"degree_bound": 0, "budget": 0,
+                                    "seed": -3}
+    # degree 0 leaves the pool {0, 1}, and a block costs 2^2 nodes
+    assert doc["forms"][0]["witt"]["search_budget_exhausted"] == "5 nodes"
 
 
 def test_config_values_are_parsed_as_text(tmp_path, capsys):

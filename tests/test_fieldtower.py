@@ -3,6 +3,8 @@
 import json
 import pickle
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from qf2.fieldtower import (FieldDescriptor, frobenius_components, is_square,
                             render_element, unit_residue, valuation_split,
                             wp_member, wp_reduce, wp_root)
 
-from helpers import K1, K2, K3, random_elem, run_optimized
+from helpers import K1, K2, K3, checkout_env, random_elem, run_optimized
 
 
 def elem(K, text):
@@ -293,11 +295,11 @@ def test_quad_extend_split():
 
 def test_quad_extend_unramified():
     r = quad_extend(K1, K1.one())
-    assert r.kind == "unramified"
+    assert r.kind == "field" and r.delta == K1.one()
     assert r.new_field.base_exponent == 2
-    # theta solves T^2 + T = 1 in F_4
-    th = r.theta
-    assert th * th + th == r.new_field.one()
+    # T^2 + T = 1 has a root in F_4
+    th = wp_root(r.embed(r.delta))
+    assert th is not None and th * th + th == r.new_field.one()
 
 
 def test_quad_extend_field_equals_parsed_field():
@@ -313,8 +315,9 @@ def test_quad_extend_field_equals_parsed_field():
 def test_quad_extend_ramified():
     t = K1.var("t")
     r = quad_extend(K1, t ** -1)
-    assert r.kind == "ramified"
-    assert not r.is_supported
+    assert r.kind == "unsupported" and r.new_field is None
+    with pytest.raises(FieldMismatch, match="ramified"):
+        r.embed(t)
 
 
 def test_quad_extend_stable_mod_wp():
@@ -620,6 +623,34 @@ def scan_embedding_table(e, e2):
     return tuple(table)
 
 
+def trial_division_modulus(e):
+    """The least irreducible of degree e: the first candidate that no
+    polynomial of degree 1..e//2 divides."""
+    for f in range(1 << e, 1 << (e + 1)):
+        if all(fieldtower._poly2_rem(f, d)
+               for d in range(2, 1 << (e // 2 + 1))):
+            return f
+
+
+def test_modulus_matches_trial_division():
+    for e in range(1, 21):
+        assert fieldtower._modulus.__wrapped__(e) == \
+            trial_division_modulus(e), e
+
+
+def test_parse_field_F2_64_is_fast():
+    # trial division never finished the degree-64 modulus
+    code = ("import time; t0 = time.perf_counter(); "
+            "from qf2.fieldtower import parse_field; "
+            "K = parse_field('F2^64((t))'); "
+            "print(time.perf_counter() - t0, K.one() + K.generator())")
+    proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    seconds, element = proc.stdout.split()
+    assert float(seconds) < 1.0 and element == "g+1"
+
+
 def test_embedding_table_matches_scan():
     pairs = [(e, e2) for e2 in range(1, 11) for e in range(1, e2 + 1)
              if e2 % e == 0]
@@ -639,10 +670,10 @@ def test_discriminant_algebra_over_F2_12_is_fast():
     disc = discriminant_algebra(parse_form(K, f"[1,{x}]"))
     assert perf_counter() - t0 < 2.0
     assert disc.kind == "field"
-    ext = disc.extension
-    assert ext.new_field == FieldDescriptor(24, ("t",))
-    alpha = ext.embed(K.from_base(x))
-    assert ext.theta * ext.theta + ext.theta == alpha
+    assert disc.new_field == FieldDescriptor(24, ("t",))
+    alpha = disc.embed(disc.delta)
+    theta = wp_root(alpha)
+    assert theta is not None and theta * theta + theta == alpha
 
 
 # --- finite-field closed forms ----------------------------------------------

@@ -214,7 +214,7 @@ def test_discriminant_split_for_hyperbolic():
 def test_discriminant_field():
     d = discriminant_algebra(form(K1, "[1,1]"))
     assert d.kind == "field"
-    assert d.extension.new_field.base_exponent == 2
+    assert d.new_field.base_exponent == 2
 
 
 def test_discriminant_unsupported_wild():

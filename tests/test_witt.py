@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,8 @@ from qf2.witt import (brute_force_search, decide_isotropy, replay_verdict,
                       springer_residues, witt_decompose, witt_index_over_ext)
 
 import witt_oracle
-from helpers import K1, K2, K3, random_elem, random_tame_form, run_optimized
+from helpers import (K1, K2, K3, checkout_env, random_elem, random_tame_form,
+                     run_optimized)
 
 F2 = parse_field("F2")
 F4 = parse_field("F4")
@@ -433,6 +436,24 @@ def test_search_budget():
         brute_force_search(phi, 6, budget=100)
 
 
+def test_search_budget_is_checked_before_the_pool_is_built():
+    # over F2^24((t)) the pool would hold p = 1 + 4 * (2^24 - 1) entries and
+    # the block costs p^2 nodes; the budget test must come before the pool,
+    # here under a 1 GB address-space limit
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from qf2.cli import main; "
+            "sys.exit(main(['--field', 'F2^24((t))', '--form', '[1,1]', "
+            "'--run', 'witt', '--json']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    witt = json.loads(proc.stdout)["forms"][0]["witt"]
+    p = 1 + 4 * ((1 << 24) - 1)
+    assert witt["search_budget_exhausted"] == f"{p * p + 1} nodes"
+    assert witt["search_witness"] is None
+
+
 def test_search_agrees_with_engine():
     rng = random.Random(131)
     for _ in range(40):
@@ -555,7 +576,7 @@ def test_ext_kills_unit_norm_form():
     # [1,1] becomes isotropic over the F4-extended tower: T^2+T+1 has roots
     phi = form(K1, "[1,1]")
     ext = quad_extend(K1, K1.one())
-    assert ext.kind == "unramified"
+    assert ext.kind == "field"
     assert witt_index_over_ext(phi, ext) == 1
     # independent check: x^2 + x + 1 splits over F4
     gf4 = parse_field("F4")
