@@ -58,7 +58,8 @@ class Undecided(QF2Error):
 
 
 class NotNormalizable(QF2Error):
-    """A block cannot be put in residue shape (wild class)."""
+    """A block cannot be put in residue shape: its product class is wild
+    (or zero).  A tame class is never refused: a rational shear retames it."""
 
 
 class RangeViolation(QF2Error):

@@ -932,6 +932,23 @@ def _principal_walk(lo, v, coeffs):
     return wild, pending.get(0, lo.zero), root
 
 
+def _principal_root(a: FieldElem):
+    """_principal_walk of a at a Laurent level, with the root terms summed.
+
+    Returns (wild, const, z): the wild (exp, coeff) terms, the constant
+    coefficient as a lower-level element, and the Laurent polynomial z of
+    the (k, d) terms, so a + z^2 + z = (wild terms) + const + (terms of
+    positive valuation)."""
+    K = a.field
+    lower = K.lower()
+    t = K.var(K.top_variable)
+    wild, const, root = _principal_walk(a._ops().lower, *_series_prefix(a, 0))
+    z = K.zero()
+    for half, d in root:
+        z = z + FieldElem(lower, d).lift_to(K) * t ** half
+    return wild, FieldElem(lower, const), z
+
+
 def wp_reduce(a: FieldElem) -> WpClass:
     """Canonical reduction of a modulo wp(K) = {x^2 + x}.
 
@@ -992,15 +1009,11 @@ def wp_root(a: FieldElem) -> Optional[FieldElem]:
         return None if bits is None else FieldElem(K, bits)
     if a.is_zero():
         return K.zero()
-    lower = K.lower()
     t = K.var(K.top_variable)
-    wild, const, root = _principal_walk(a._ops().lower, *_series_prefix(a, 0))
+    wild, const, z = _principal_root(a)
     if wild:
         return None
-    z = K.zero()
-    for half, d in root:
-        z = z + FieldElem(lower, d).lift_to(K) * t ** half
-    z0 = wp_root(FieldElem(lower, const))
+    z0 = wp_root(const)
     if z0 is None:
         return None
     z = z + z0.lift_to(K)

@@ -39,10 +39,6 @@ class PfisterSpec:
     bilinear_slots: tuple
     quadratic_slot: FieldElem
 
-    def render(self) -> str:
-        slots = ",".join(render_element(a) for a in self.bilinear_slots)
-        return f"pf({slots};{render_element(self.quadratic_slot)})"
-
     def to_json(self):
         return {"bilinear_slots": [render_element(a)
                                    for a in self.bilinear_slots],

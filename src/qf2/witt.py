@@ -10,12 +10,13 @@ current level resist normalization; inside a form of dimension >= 3 they
 produce the first-class Unknown verdict.
 
 Soundness contract: "isotropic"/"anisotropic" refer to the full Laurent
-field.  Explicit witnesses evaluate to zero exactly.  Since roots of
-z^2 + z = w are usually not rational fractions, isotropy may instead be
-certified by an isotropic block (wp-membership of its product) or by an
-isotropic plane: a rational 2-plane whose binary form has wp-trivial product
-class.  All certificate vectors are in the coordinates of the verdict's own
-form, so certificates compose through the residue recursion.
+field.  Every isotropic verdict carries an explicit witness, which evaluates
+to zero exactly, or, since roots of z^2 + z = w are usually not rational
+fractions, an isotropic block (wp-membership of its product) or an isotropic
+plane: a rational 2-plane whose binary form has wp-trivial product class.
+Normalization retames a block only by a rational shear, so all certificate
+vectors are in the coordinates of the verdict's own form and certificates
+compose through the residue recursion.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from ._linalg import row_dependency
 from .errors import (BudgetExceeded, Degenerate, NotNormalizable,
                      SoundnessError, Undecided)
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, _gf,
-                         frobenius_components, render_element, unit_residue,
-                         valuation_split, wp_member, wp_reduce)
+                         _principal_root, frobenius_components,
+                         render_element, unit_residue, valuation_split,
+                         wp_member, wp_reduce)
 from .forms import GramInput, QuadraticForm, _axpy, _plus, normal_form
 
 __all__ = [
@@ -83,7 +85,7 @@ class WittDecomposition:
     witt_index: int
     kernel: QuadraticForm
     planes: tuple = ()          # replayable description per split
-    # always True: a split that would need a wp-retame raises Undecided
+    # always True: every split is a rational change of basis
     exact: bool = True
 
     def to_json(self):
@@ -223,34 +225,39 @@ class _BlockShape:
     a: FieldElem            # normalized entries
     b: FieldElem
     m: int                  # square-scaling exponent used
-    tamed: bool
+    shear: Optional[FieldElem]  # s of a retamed block, else None
 
 
 def _normalize_block(K, t, i, a, b):
-    """Square-scale (and wp-retame if needed) a block into residue shape.
+    """Square-scale (and retame if needed) a block into residue shape.
 
     Requires class(a*b) != 0.  Raises NotNormalizable when the product class
     is wild at this level (or zero, which only happens on isotropic blocks
-    fed in from outside the decision loop)."""
+    fed in from outside the decision loop).  A tame product with a pole is
+    retamed by the rational shear e_y -> e_y + s*e_x, s = z/a, which gives
+    [a,b] = [a, b + s*(z+1)] (EKM 2008, ch. I): with z the root terms of
+    a*b's principal part, the new product a*b + z^2 + z is a unit.  The new
+    entry is taken as that product over a, which keeps the level-2
+    fractions inside the degree cap where b + s*(z+1) does not."""
     w = a * b
     vw, _ = valuation_split(w)
-    tamed = False
+    s = None
     if vw != 0:
         cls = wp_reduce(w)
         if cls.is_zero():
             raise NotNormalizable(f"block {i}: isotropic (product in wp)")
         if cls.wild:
             raise NotNormalizable(f"block {i}: wild class at {K.top_variable}")
-        what = cls.representative()
-        b = what / a
-        tamed = True
+        _, _, z = _principal_root(w)
+        s = z / a
+        b = (w + z * z + z) / a
     va, _ = valuation_split(a)
     m = -((va - (va % 2)) // 2)
     if m:
         tm = t ** (2 * m)
         a = a * tm
         b = b / tm
-    return _BlockShape(va % 2, a, b, m, tamed)
+    return _BlockShape(va % 2, a, b, m, s)
 
 
 def _normalize_ql(K, t, c):
@@ -277,24 +284,27 @@ class _ResidueLayout:
     coord0: list             # residue coordinate -> input coordinate
     coord1: list
     to_input: list           # per input coordinate: scale factor, or None
-    tamed_coords: set        # input coordinates whose vectors do not transfer
+    shears: list             # (x, y, s) per retamed block
     trace: list              # per block, then per line; elements unrendered
 
 
 def _residue_layout(phi: QuadraticForm) -> _ResidueLayout:
     """Residue forms of phi at the top variable, with the coordinate maps.
 
-    Hyperbolic blocks go to the first residue form as [0,0].  Straddling
-    blocks [unit, t*unit] (isotropic, so decide_isotropy never gets here with
-    one) send a quasilinear line to each side; that is the lattice picture,
-    not a scaling, so their coordinates count as tamed."""
+    The residue coordinates scale (to_input) into the coordinates of the
+    normalized form, phi with every retamed block sheared; x += s*y per
+    entry of shears carries those to phi's own.  Hyperbolic blocks go to the
+    first residue form as [0,0].  Straddling blocks [unit, t*unit] send a
+    quasilinear line to each side, the lattice picture, and have no scale
+    factor: they are isotropic, so decide_isotropy answers isotropic-block
+    before it lays out a form with one."""
     K = phi.field
     t = K.var(K.top_variable)
     lower = K.lower()
     blocks = ([], [])        # per side: ((a, b) residues, (x, y) coordinates)
     ql = ([], [])            # per side: (residue, coordinate)
     to_input = [None] * phi.dim
-    tamed_coords = set()
+    shears = []
     trace = []
     for i, (a, b) in enumerate(phi.blocks):
         xi, yi = 2 * i, 2 * i + 1
@@ -316,13 +326,12 @@ def _residue_layout(phi: QuadraticForm) -> _ResidueLayout:
             vb2, _ = valuation_split(b2)
             if vb2 != 1:
                 raise
-            tamed_coords.update((xi, yi))
             ql[0].append((_residue_of_unit(a2), xi))
             ql[1].append((_residue_of_unit(b2 / t), yi))
             trace.append({"block": i, "shape": "straddle", "lambda": -va})
             continue
-        if sh.tamed:
-            tamed_coords.update((xi, yi))
+        if sh.shear is not None:
+            shears.append((xi, yi, sh.shear))
         to_input[xi] = t ** sh.m
         if sh.side == 0:
             to_input[yi] = t ** (-sh.m)
@@ -334,7 +343,7 @@ def _residue_layout(phi: QuadraticForm) -> _ResidueLayout:
             entry = (_residue_of_unit(sh.a / t), _residue_of_unit(sh.b * t))
         blocks[sh.side].append((entry, (xi, yi)))
         trace.append({"block": i, "side": sh.side, "m": sh.m,
-                      "tamed": sh.tamed,
+                      "tamed": sh.shear is not None,
                       "a": sh.a, "b": sh.b})
     base = 2 * len(phi.blocks)
     for j, c in enumerate(phi.quasilinear):
@@ -347,14 +356,14 @@ def _residue_layout(phi: QuadraticForm) -> _ResidueLayout:
     coords = [[c for _, xy in blocks[s] for c in xy] + [c for _, c in ql[s]]
               for s in (0, 1)]
     return _ResidueLayout(residues[0], residues[1], coords[0], coords[1],
-                          to_input, tamed_coords, trace)
+                          to_input, shears, trace)
 
 
 def springer_residues(phi: QuadraticForm) -> ResiduePair:
     """First and second residue forms at the top variable.
 
-    Blocks must normalize (square-scaling, with a wp-retame allowed for
-    tame non-unit product classes); wild product classes raise
+    Blocks must normalize (square-scaling, after a rational shear for tame
+    non-unit product classes); wild product classes raise
     NotNormalizable.  Straddling blocks [unit, t*unit] (possible only on
     isotropic input) contribute a quasilinear line to each side, matching
     the lattice picture; the trace records every scaling."""
@@ -434,7 +443,7 @@ def decide_isotropy(phi: QuadraticForm) -> IsotropyVerdict:
                                + (v0.reason or v1.reason))
     if v0.is_anisotropic and v1.is_anisotropic:
         cert = {"kind": "residue-split", "variable": K.top_variable,
-                "tamed": bool(layout.tamed_coords),
+                "tamed": bool(layout.shears),
                 "first": v0.to_json(), "second": v1.to_json()}
         return IsotropyVerdict("anisotropic", phi, certificate=cert)
     side, vres = (0, v0) if v0.is_isotropic else (1, v1)
@@ -445,7 +454,9 @@ def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
     """Lift an isotropy verdict of a residue form up one Laurent level.
 
     Certificates of the residue verdict are expressed in the residue form's
-    own coordinates, which map 1-1 (then scale) into phi's coordinates."""
+    own coordinates, which map 1-1 (then scale) into the normalized form's
+    coordinates; the plane partner is picked there, and the shears of the
+    retamed blocks then carry every vector into phi's coordinates."""
     K = phi.field
     zero = K.zero()
     coords = layout.coord0 if side == 0 else layout.coord1
@@ -453,36 +464,34 @@ def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
     nb2 = 2 * len(phi.blocks)
 
     def lift_vec(res_vec):
-        """Residue vector -> phi coordinates, or None on tamed support."""
+        """Residue vector -> normalized-form coordinates."""
         out = [zero] * n
         for rc, x in enumerate(res_vec):
-            if x.is_zero():
-                continue
-            ic = coords[rc]
-            if ic in layout.tamed_coords:
-                return None
-            out[ic] = x.lift_to(K) * layout.to_input[ic]
+            if not x.is_zero():
+                ic = coords[rc]
+                out[ic] = x.lift_to(K) * layout.to_input[ic]
         return out
 
-    inner = vres.certificate or {}
+    def unshear(vec):
+        """Normalized-form coordinates -> phi's: x += s*y per retamed block."""
+        for x, y, s in layout.shears:
+            if not vec[y].is_zero():
+                vec[x] = vec[x] + s * vec[y]
+        return vec
+
+    extra = {"variable": K.top_variable, "side": side}
     if vres.witness is not None:
         x0 = lift_vec(vres.witness)
-        if x0 is None:
-            return _support_only(phi, layout, side, vres, coords)
+        partner = next((j ^ 1 for j in range(nb2) if not x0[j].is_zero()),
+                       None)
+        x0 = unshear(x0)
         c = phi.evaluate(x0)
         if c.is_zero():
             return _isotropic_explicit(phi, tuple(x0),
-                                       {"kind": "lifted-witness",
-                                        "variable": K.top_variable,
-                                        "side": side})
+                                       {"kind": "lifted-witness", **extra})
         vc, _ = valuation_split(c)
         if vc < 1:
             raise SoundnessError("residue witness did not gain valuation")
-        partner = None
-        for j in range(n):
-            if j < nb2 and not x0[j].is_zero():
-                partner = j + 1 if j % 2 == 0 else j - 1
-                break
         if partner is None:
             return IsotropyVerdict(
                 "unknown", phi,
@@ -490,43 +499,13 @@ def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
                        "part; not liftable")
         y0 = [zero] * n
         y0[partner] = K.one()
-        return _plane_verdict(phi, x0, y0,
-                              {"variable": K.top_variable, "side": side})
+        return _plane_verdict(phi, x0, unshear(y0), extra)
     if vres.plane is not None:
-        x0, y0 = map(lift_vec, vres.plane)
-        if x0 is None or y0 is None:
-            return _support_only(phi, layout, side, vres, coords)
-        return _plane_verdict(phi, x0, y0,
-                              {"variable": K.top_variable, "side": side})
-    if inner.get("kind") == "residue-isotropy":
-        return _support_only(phi, layout, side, vres, coords)
+        x0, y0 = (unshear(lift_vec(v)) for v in vres.plane)
+        return _plane_verdict(phi, x0, y0, extra)
     return IsotropyVerdict("unknown", phi,
                            reason="unliftable residue certificate "
-                           f"({inner.get('kind')})")
-
-
-def _support_only(phi, layout, side, vres, coords):
-    """Sound isotropy without transferable vectors (tamed support): the
-    residue form has a zero meeting its nonsingular part, which Hensel-lifts
-    over the complete field."""
-    inner = vres.certificate or {}
-    if vres.witness is not None:
-        support = [coords[rc] for rc, x in enumerate(vres.witness)
-                   if not x.is_zero()]
-    elif vres.plane is not None:
-        support = sorted({coords[rc] for vec in vres.plane
-                          for rc, x in enumerate(vec) if not x.is_zero()})
-    elif inner.get("kind") == "residue-isotropy":
-        support = sorted({coords[rc] for rc in inner["support"]})
-    else:
-        return IsotropyVerdict("unknown", phi,
-                               reason="tamed support, no usable certificate")
-    if not any(c < 2 * len(phi.blocks) for c in support):
-        return IsotropyVerdict("unknown", phi,
-                               reason="tamed quasilinear-only support")
-    cert = {"kind": "residue-isotropy", "variable": phi.field.top_variable,
-            "side": side, "support": support, "inner": vres.to_json()}
-    return IsotropyVerdict("isotropic", phi, certificate=cert)
+                           f"({(vres.certificate or {}).get('kind')})")
 
 
 def _plane_product(phi, x0, y0) -> Optional[FieldElem]:
@@ -568,8 +547,6 @@ def replay_verdict(v: IsotropyVerdict) -> bool:
     if kind == "isotropic-plane":
         w = _plane_product(v.form, *v.plane)
         return w is not None and wp_member(w)
-    if kind == "residue-isotropy":
-        return decide_isotropy(v.form).is_isotropic
     if v.is_anisotropic:
         return decide_isotropy(v.form).is_anisotropic
     return False
@@ -581,10 +558,10 @@ def replay_verdict(v: IsotropyVerdict) -> bool:
 def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
     """Split hyperbolic planes off until the rest is anisotropic.
 
-    Raises Undecided when a stage returns Unknown.  Splits through explicit
-    witnesses and rational planes are exact changes of basis; a verdict that
-    exists only over the completion (residue-isotropy after a wp-retame)
-    stops the decomposition with Undecided rather than guessing."""
+    Raises Undecided when a stage returns Unknown.  Every isotropic verdict
+    carries an isotropic block, an explicit witness or a rational plane, so
+    each split is an exact change of basis; a verdict with none of them
+    raises SoundnessError."""
     if not phi.is_nondegenerate:
         raise Degenerate(len(phi.quasilinear))
     current = phi
@@ -616,8 +593,7 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
             current = _split_plane(current, *verdict.plane, planes)
             index += 1
             continue
-        raise Undecided("isotropic only over the completion "
-                        "(wp-retamed support); no rational split")
+        raise SoundnessError("isotropic verdict with no rational split")
 
 
 def _split_explicit(phi, witness, planes):

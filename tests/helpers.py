@@ -88,6 +88,33 @@ def random_tame_form(K: FieldDescriptor, rng: random.Random, blocks: int,
     return QuadraticForm(K, tuple(bl), tuple(ql))
 
 
+def retamed_block(K: FieldDescriptor, rng: random.Random):
+    """A block a*[1, u + z^2 + z] whose product has a pole but a tame class:
+    z = sum of c_k t^-k over a random nonempty subset of k in {1, 2, 3},
+    c_k in {1, s} (s the first variable below the top), u a random unit.
+    a = c * t^j with c a unit constant in t and j in {-1, 0, 1}, so forming
+    b = (u + z^2 + z)/a stays inside the degree cap."""
+    t = K.var(K.top_variable)
+    coeffs = [K.one()] + [K.var(v) for v in K.variables[:1] if K.level > 1]
+    z = K.zero()
+    while z.is_zero():
+        for k in (1, 2, 3):
+            if rng.random() < 0.5:
+                z = z + rng.choice(coeffs) * t ** -k
+    a = random_unit(K.lower(), rng).lift_to(K) * t ** rng.choice([-1, 0, 1])
+    u = random_unit(K, rng)
+    return a, (u + z * z + z) / a
+
+
+def random_retamed_form(K: FieldDescriptor, rng: random.Random) -> QuadraticForm:
+    """1-3 blocks, each retamed_block with probability 0.6 and tame_block
+    otherwise, plus 0-1 unit quasilinear entries."""
+    bl = tuple(retamed_block(K, rng) if rng.random() < 0.6
+               else tame_block(K, rng) for _ in range(rng.randint(1, 3)))
+    ql = tuple(random_unit(K, rng) for _ in range(rng.choice([0, 1])))
+    return QuadraticForm(K, bl, ql)
+
+
 def checkout_env():
     """The environment for a Python subprocess that imports this checkout's
     qf2: `pythonpath` in pyproject.toml reaches only the pytest process."""

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qf2 import witt
+from qf2.clifford import splitting_index
 from qf2.errors import (BudgetExceeded, DegreeOverflow, NotNormalizable,
                         SoundnessError, Undecided)
 from qf2.fieldtower import (FieldElem, parse_field, quad_extend,
@@ -22,8 +23,8 @@ from qf2.witt import (brute_force_search, decide_isotropy, replay_verdict,
                       springer_residues, witt_decompose, witt_index_over_ext)
 
 import witt_oracle
-from helpers import (K1, K2, K3, checkout_env, random_elem, random_tame_form,
-                     run_optimized)
+from helpers import (K1, K2, K3, checkout_env, random_elem,
+                     random_retamed_form, random_tame_form, run_optimized)
 
 F2 = parse_field("F2")
 F4 = parse_field("F4")
@@ -190,6 +191,71 @@ def test_witt_cancellation():
             hits += 1
             assert isometric(phi, psi)
     assert hits >= 25  # the construction makes them isometric
+
+
+# --- retamed blocks -------------------------------------------------------------
+# [1, t^-2+t^-1+1] has product class [1] (z = t^-1 leaves the unit 1), so
+# normalization retames it by a rational shear and its vectors map back.
+
+def _assert_exact_isotropy(phi, v):
+    # an explicit witness, a rational plane or an isotropic block of phi
+    assert v.is_isotropic
+    if v.witness is not None:
+        assert phi.evaluate(v.witness).is_zero()
+        assert any(not x.is_zero() for x in v.witness)
+    elif v.plane is not None:
+        assert wp_member(witt._plane_product(phi, *v.plane))
+    else:
+        a, b = phi.blocks[v.certificate["block"]]
+        assert wp_member(a * b)
+    assert replay_verdict(v)
+
+
+@pytest.mark.parametrize("text, index", [
+    ("[1,t^-2+t^-1+1]+[1,1]", 2),
+    ("[1,t^-2+t^-1+1]+[1,t^-4+t^-2+1]", 2),
+    ("[1,t^-2+t^-1+1]+<1>", 1),
+])
+def test_retamed_block_splits_rationally(text, index):
+    phi = form(K1, text)
+    _assert_exact_isotropy(phi, decide_isotropy(phi))
+    assert witt_decompose(phi).witt_index == index
+    assert splitting_index(phi).resolved
+
+
+def test_retamed_block_with_anisotropic_partner():
+    phi = form(K1, "[1,t^-2+t^-1+1]+[t,t^-1+1]")
+    v = decide_isotropy(phi)
+    assert v.is_anisotropic
+    assert v.certificate["tamed"] is True
+    assert witt_decompose(phi).witt_index == 0
+
+
+def test_retamed_corpus(monkeypatch):
+    # the evidence of every isotropic verdict is in the form's own
+    # coordinates, so every decomposition splits rationally
+    rng = random.Random(14)
+    verdicts = []
+    for K in (K1, K2):
+        for _ in range(40):
+            phi = random_retamed_form(K, rng)
+            v = decide_isotropy(phi)
+            assert "residue-isotropy" not in json.dumps(v.to_json())
+            verdicts.append(v)
+            if brute_force_search(phi, 4) is not None:
+                assert v.is_isotropic, render_form(phi)
+            # no Undecided at all, so none that holds only over the completion
+            index = witt_decompose(phi).witt_index
+            assert v.is_isotropic == (index >= 1), render_form(phi)
+    assert sum(v.is_isotropic for v in verdicts) >= 40
+
+    def no_engine(phi):
+        raise AssertionError("replay re-ran decide_isotropy")
+
+    monkeypatch.setattr(witt, "decide_isotropy", no_engine)
+    for v in verdicts:
+        if v.is_isotropic:
+            _assert_exact_isotropy(v.form, v)
 
 
 # --- springer residues --------------------------------------------------------
