@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import RangeViolation, SoundnessError, Undecided
+from .fieldtower import render_json
 from .forms import (QuadraticForm, arf, discriminant_algebra, hyperbolic,
                     orthogonal_sum, subform_test, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
@@ -98,6 +99,7 @@ class ChowReport:
     image: Optional[dict] = None
     rules: tuple = ()
     assumptions: tuple = ()
+    # exact evidence: verdicts, splitting indices, reports
     certificates: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
@@ -108,15 +110,13 @@ class ChowReport:
             raise SoundnessError(f"exact torsion group {self.group!r}")
 
     def to_json(self):
-        return {"schema_version": SCHEMA_VERSION,
-                "codim": self.codim, "dim": self.dim,
-                "torsion": {"kind": self.kind, "order": self.order,
-                            "group": self.group},
-                "elementary": self.elementary,
-                "image": self.image,
-                "rules": list(self.rules),
-                "assumptions": list(self.assumptions),
-                "certificates": self.certificates}
+        torsion = {"kind": self.kind, "order": self.order, "group": self.group}
+        return render_json({"schema_version": SCHEMA_VERSION,
+                            "codim": self.codim, "dim": self.dim,
+                            "torsion": torsion, "elementary": self.elementary,
+                            "image": self.image, "rules": self.rules,
+                            "assumptions": self.assumptions,
+                            "certificates": self.certificates})
 
 
 def _exact(codim, phi, order, elementary, rules, assumptions=(), image=None,
@@ -165,16 +165,16 @@ def chow2_torsion(phi: QuadraticForm) -> ChowReport:
                        ["anisotropy undecided: " + verdict.reason])
     if verdict.is_isotropic:
         return _exact(2, phi, 1, None, ["isotropic-torsion-free"],
-                      certificates={"isotropy": verdict.to_json()})
-    cert = {"anisotropy": verdict.to_json()}
+                      certificates={"isotropy": verdict})
+    cert = {"anisotropy": verdict}
     if dim == 6 and arf(phi).is_zero():
         return _exact(2, phi, 1, False, ["dim6-albert-torsion-free"],
                       image=anisotropic_image_row(4, 2, arf_zero=True),
                       certificates=cert)
     nv = neighbor(phi)
-    cert["neighbor"] = nv.to_json()
+    cert["neighbor"] = nv
     if dim == 5:
-        cert["splitting_index"] = splitting_index(phi).to_json()
+        cert["splitting_index"] = splitting_index(phi)
     prefix, unknown = _NEIGHBOR_RULES[dim]
     if nv.status == "yes":
         return _exact(2, phi, 2, False, [f"{prefix}-pfister-neighbor"],
@@ -224,17 +224,17 @@ def chow3_torsion(phi: QuadraticForm) -> ChowReport:
         if sub.kind == "Exactly":
             return ChowReport(3, dim, "Exactly", sub.order, sub.group, None,
                               None, rules, sub.assumptions,
-                              {"reduced_to": sub.to_json()})
+                              {"reduced_to": sub})
         return _atmost(3, phi, rules, sub.assumptions,
-                       {"reduced_to": sub.to_json()})
-    cert = {"anisotropy": verdict.to_json()}
+                       {"reduced_to": sub})
+    cert = {"anisotropy": verdict}
     arf_zero = phi.is_nonsingular and arf(phi).is_zero()
     if dim == 6:
         if arf_zero:
             return _exact(3, phi, 1, True, ["dim6-albert-torsion-free"],
                           certificates=cert)
         sres = splitting_index(phi)
-        cert["splitting_index"] = sres.to_json()
+        cert["splitting_index"] = sres
         if sres.resolved:
             if sres.s in (1, 2):
                 return _exact(3, phi, 2, False, [f"dim6-s{sres.s}"],
@@ -255,7 +255,7 @@ def _index_vanishing_rules(phi, dim, arf_zero, cert):
     """Prop-7.13-style index conditions and the hyperbolic-over-discriminant
     vanishing; None when no rule fires with certified hypotheses."""
     sres = splitting_index(phi)
-    cert["splitting_index"] = sres.to_json()
+    cert["splitting_index"] = sres
     lo, hi = sres.ind_low, sres.ind_high
     if dim == 12 and not arf_zero and hi <= 2:
         return _exact(3, phi, 1, True, ["ind-vanishing-dim12"],

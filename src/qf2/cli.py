@@ -22,8 +22,8 @@ import sys
 from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExceeded, ParseError, QF2Error, Undecided
-from .fieldtower import _linecol, parse_field, render_element
-from .forms import arf, discriminant_algebra, parse_form
+from .fieldtower import _linecol, parse_field, render_json
+from .forms import arf, parse_form
 from .witt import brute_force_search, decide_isotropy, witt_decompose
 from .clifford import (DEFAULT_DIMENSION_CAP, build_clifford,
                        center_and_idempotents, even_clifford_class,
@@ -166,8 +166,7 @@ def _run_invariants(phi, job):
         out["arf_zero"] = cls.is_zero()
         out["arf_tame"] = cls.is_tame()
         out["arf_class"] = cls.to_json()
-        disc = discriminant_algebra(phi)
-        out["discriminant_algebra"] = disc.kind
+        out["discriminant_algebra"] = cls.extension_kind()
     return out, False
 
 
@@ -188,8 +187,7 @@ def _run_witt(phi, job):
             undecided = True
     try:
         wit = brute_force_search(phi, job.degree_bound, budget=job.budget)
-        out["search_witness"] = ([render_element(x) for x in wit]
-                                 if wit else None)
+        out["search_witness"] = render_json(wit)
     except BudgetExceeded as exc:
         out["search_witness"] = None
         out["search_budget_exhausted"] = str(exc)

@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import (DimensionCap, NotAlbert, OddDimension, SoundnessError,
                      Undecided)
 from .fieldtower import (ExtensionResult, FieldElem, is_square, quad_extend,
-                         render_element, wp_member, wp_root)
+                         render_json, wp_member, wp_root)
 from .forms import (QuadraticForm, arf, arf_representative,
                     discriminant_algebra, orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
@@ -349,13 +349,11 @@ class AlgebraClassDescriptor:
     rules: tuple = ()
 
     def to_json(self):
-        return {"center": self.center.kind,
-                "symbols": [[render_element(a), render_element(b)]
-                            for a, b in self.symbols],
-                "companion_form": (self.companion_form.to_json()
-                                   if self.companion_form else None),
-                "index_interval": list(self.index_interval),
-                "rules": list(self.rules)}
+        return render_json({"center": self.center.kind,
+                            "symbols": self.symbols,
+                            "companion_form": self.companion_form,
+                            "index_interval": self.index_interval,
+                            "rules": self.rules})
 
 
 def even_clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:

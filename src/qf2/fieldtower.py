@@ -51,7 +51,7 @@ __all__ = [
     "FieldDescriptor", "FieldElem", "WpClass", "ExtensionResult",
     "valuation_split", "unit_residue", "is_square", "frobenius_components",
     "wp_reduce", "wp_member", "quad_extend",
-    "parse_field", "parse_element", "render_element",
+    "parse_field", "parse_element", "render_element", "render_json",
     "DEFAULT_DEGREE_CAP", "DEFAULT_TOWER_CAP",
 ]
 
@@ -878,11 +878,17 @@ class WpClass:
     def same_class(self, other: "WpClass") -> bool:
         return self.plus(other).is_zero()
 
+    def extension_kind(self) -> str:
+        """How K[T]/(T^2 + T + delta) splits for delta in this class: zero is
+        "split", tame is "field", wild is "unsupported"."""
+        if self.is_zero():
+            return "split"
+        return "field" if self.is_tame() else "unsupported"
+
     def to_json(self):
         if self.bit is not None:
             return {"bit": self.bit}
-        return {"wild": [[e, render_element(c)] for e, c in self.wild],
-                "constant": self.constant.to_json()}
+        return render_json({"wild": self.wild, "constant": self.constant})
 
 
 @lru_cache(maxsize=None)
@@ -1060,17 +1066,15 @@ class ExtensionResult:
 
 
 def quad_extend(K: FieldDescriptor, delta: FieldElem) -> ExtensionResult:
-    """Classify K[T]/(T^2 + T + delta) by the wp-class of delta: zero is
-    "split", tame is "field", wild is "unsupported"."""
+    """Classify K[T]/(T^2 + T + delta) by the wp-class of delta
+    (WpClass.extension_kind)."""
     if delta.field != K:
         raise FieldMismatch("delta not over K")
-    cls = wp_reduce(delta)
-    if cls.is_zero():
-        return ExtensionResult("split", delta, K)
-    if cls.is_tame():
-        K2 = FieldDescriptor(2 * K.base_exponent, K.variables)
-        return ExtensionResult("field", delta, K2)
-    return ExtensionResult("unsupported", delta, None)
+    kind = wp_reduce(delta).extension_kind()
+    new_field = K if kind == "split" else None
+    if kind == "field":
+        new_field = FieldDescriptor(2 * K.base_exponent, K.variables)
+    return ExtensionResult(kind, delta, new_field)
 
 
 # ---------------------------------------------------------------------------
@@ -1348,3 +1352,16 @@ def _render_raw(data, level: int, e: int, varnames: tuple) -> str:
 def render_element(x: FieldElem) -> str:
     return _render_raw(x.data, x.field.level, x.field.base_exponent,
                        x.field.variables)
+
+
+def render_json(value):
+    """The JSON value of exact evidence: elements are rendered, dicts keep
+    their keys in order, lists and tuples become lists, objects give their
+    to_json(), and anything else is returned as is."""
+    if isinstance(value, FieldElem):
+        return render_element(value)
+    if isinstance(value, dict):
+        return {k: render_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [render_json(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value

@@ -19,7 +19,7 @@ from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem,
                          WpClass, _check_divisor, _parse_expr, _parse_factor,
                          _Tok, is_square, quad_extend, render_element,
-                         wp_reduce)
+                         render_json, wp_reduce)
 
 __all__ = [
     "QuadraticForm", "GramInput",
@@ -100,10 +100,9 @@ class QuadraticForm:
         return f"<form {render_form(self)} over {self.field.render()}>"
 
     def to_json(self):
-        return {"field": self.field.render(),
-                "blocks": [[render_element(a), render_element(b)]
-                           for a, b in self.blocks],
-                "quasilinear": [render_element(c) for c in self.quasilinear]}
+        return render_json({"field": self.field.render(),
+                            "blocks": self.blocks,
+                            "quasilinear": self.quasilinear})
 
 
 @dataclass(frozen=True)

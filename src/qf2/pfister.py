@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SoundnessError, Undecided, ZeroScalar
-from .fieldtower import FieldDescriptor, FieldElem, render_element
+from .fieldtower import FieldDescriptor, FieldElem, render_json
 from .forms import (QuadraticForm, arf, discriminant_algebra,
                     orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
@@ -40,9 +40,8 @@ class PfisterSpec:
     quadratic_slot: FieldElem
 
     def to_json(self):
-        return {"bilinear_slots": [render_element(a)
-                                   for a in self.bilinear_slots],
-                "quadratic_slot": render_element(self.quadratic_slot)}
+        return render_json({"bilinear_slots": self.bilinear_slots,
+                            "quadratic_slot": self.quadratic_slot})
 
 
 def make_pfister(spec: PfisterSpec) -> QuadraticForm:
@@ -84,12 +83,12 @@ class NeighborVerdict:
     def to_json(self):
         out = {"status": self.status, "rule": self.rule}
         if self.lam is not None:
-            out["lambda"] = render_element(self.lam)
+            out["lambda"] = self.lam
         if self.spec is not None:
-            out["pfister"] = self.spec.to_json()
+            out["pfister"] = self.spec
         if self.reason:
             out["reason"] = self.reason
-        return out
+        return render_json(out)
 
 
 def _embeds(phi: QuadraticForm, pi: QuadraticForm) -> Optional[bool]:

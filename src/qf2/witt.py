@@ -16,7 +16,8 @@ fractions, an isotropic block (wp-membership of its product) or an isotropic
 plane: a rational 2-plane whose binary form has wp-trivial product class.
 Normalization retames a block only by a rational shear, so all certificate
 vectors are in the coordinates of the verdict's own form and certificates
-compose through the residue recursion.
+compose through the residue recursion.  Certificates and plane records hold
+exact elements, vectors and sub-verdicts; to_json renders them (render_json).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (BudgetExceeded, Degenerate, NotNormalizable,
                      SoundnessError, Undecided)
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, _gf,
                          _principal_root, frobenius_components,
-                         render_element, unit_residue, valuation_split,
+                         render_json, unit_residue, valuation_split,
                          wp_member, wp_reduce)
 from .forms import GramInput, QuadraticForm, _axpy, _plus, normal_form
 
@@ -46,8 +47,8 @@ class IsotropyVerdict:
 
     kind: "isotropic" | "anisotropic" | "unknown".  witness: explicit zero
     vector when one exists in the fraction field.  certificate: replayable
-    evidence, rendered as is.  plane: the exact (x0, y0) of an
-    "isotropic-plane" certificate.
+    evidence as exact values (the vectors "x", "y" of an "isotropic-plane"
+    among them), rendered only by to_json.
     """
 
     kind: str
@@ -55,7 +56,6 @@ class IsotropyVerdict:
     witness: Optional[tuple] = None
     certificate: Optional[dict] = None
     reason: str = ""
-    plane: Optional[tuple] = None
 
     @property
     def is_isotropic(self):
@@ -70,14 +70,14 @@ class IsotropyVerdict:
         return self.kind == "unknown"
 
     def to_json(self):
-        out = {"kind": self.kind, "form": self.form.to_json()}
+        out = {"kind": self.kind, "form": self.form}
         if self.witness is not None:
-            out["witness"] = [render_element(x) for x in self.witness]
+            out["witness"] = self.witness
         if self.certificate is not None:
             out["certificate"] = self.certificate
         if self.reason:
             out["reason"] = self.reason
-        return out
+        return render_json(out)
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,9 @@ class WittDecomposition:
     exact: bool = True
 
     def to_json(self):
-        return {"witt_index": self.witt_index,
-                "kernel": self.kernel.to_json(),
-                "exact": self.exact,
-                "planes": list(self.planes)}
+        return render_json({"witt_index": self.witt_index,
+                            "kernel": self.kernel, "exact": self.exact,
+                            "planes": self.planes})
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,8 @@ class ResiduePair:
     trace: tuple = ()
 
     def to_json(self):
-        return {"first": self.first.to_json(),
-                "second": self.second.to_json(),
-                "trace": list(self.trace)}
+        return render_json({"first": self.first, "second": self.second,
+                            "trace": self.trace})
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +182,8 @@ def _isotropic_explicit(phi, vec, cert):
     fault = _witness_fault(phi, vec)
     if fault:
         raise SoundnessError(fault)
-    cert = dict(cert)
-    cert["witness"] = [render_element(x) for x in vec]
     return IsotropyVerdict("isotropic", phi, witness=tuple(vec),
-                           certificate=cert)
+                           certificate={**cert, "witness": tuple(vec)})
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +366,8 @@ def springer_residues(phi: QuadraticForm) -> ResiduePair:
     if phi.field.level == 0:
         raise ValueError("no residues at the finite base")
     layout = _residue_layout(phi)
-    trace = tuple({k: render_element(v) if isinstance(v, FieldElem) else v
-                   for k, v in step.items()} for step in layout.trace)
-    return ResiduePair(layout.residue0, layout.residue1, trace)
+    return ResiduePair(layout.residue0, layout.residue1,
+                       tuple(render_json(layout.trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +407,7 @@ def decide_isotropy(phi: QuadraticForm) -> IsotropyVerdict:
             return IsotropyVerdict(
                 "isotropic", phi,
                 certificate={"kind": "isotropic-block", "block": i,
-                             "product": render_element(a * b)})
+                             "product": a * b})
         classes.append(cls)
     if len(phi.quasilinear) >= 2:
         lam = _ql_dependency(phi)
@@ -430,24 +425,25 @@ def decide_isotropy(phi: QuadraticForm) -> IsotropyVerdict:
     if len(phi.blocks) == 1 and not phi.quasilinear:
         return IsotropyVerdict("anisotropic", phi,
                                certificate={"kind": "binary-wp",
-                                            "class": classes[0].to_json()})
+                                            "class": classes[0]})
     try:
         layout = _residue_layout(phi)
     except NotNormalizable as exc:
         return IsotropyVerdict("unknown", phi, reason=str(exc))
+    # the first isotropic residue form is lifted, whatever the other one is
     v0 = decide_isotropy(layout.residue0)
+    if v0.is_isotropic:
+        return _lift_isotropy(phi, layout, 0, v0)
     v1 = decide_isotropy(layout.residue1)
+    if v1.is_isotropic:
+        return _lift_isotropy(phi, layout, 1, v1)
     if v0.is_unknown or v1.is_unknown:
         return IsotropyVerdict("unknown", phi,
                                reason="residue recursion undecided: "
                                + (v0.reason or v1.reason))
-    if v0.is_anisotropic and v1.is_anisotropic:
-        cert = {"kind": "residue-split", "variable": K.top_variable,
-                "tamed": bool(layout.shears),
-                "first": v0.to_json(), "second": v1.to_json()}
-        return IsotropyVerdict("anisotropic", phi, certificate=cert)
-    side, vres = (0, v0) if v0.is_isotropic else (1, v1)
-    return _lift_isotropy(phi, layout, side, vres)
+    cert = {"kind": "residue-split", "variable": K.top_variable,
+            "tamed": bool(layout.shears), "first": v0, "second": v1}
+    return IsotropyVerdict("anisotropic", phi, certificate=cert)
 
 
 def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
@@ -500,12 +496,12 @@ def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
         y0 = [zero] * n
         y0[partner] = K.one()
         return _plane_verdict(phi, x0, unshear(y0), extra)
-    if vres.plane is not None:
-        x0, y0 = (unshear(lift_vec(v)) for v in vres.plane)
+    cert = vres.certificate or {}
+    if cert.get("kind") == "isotropic-plane":
+        x0, y0 = (unshear(lift_vec(cert[k])) for k in ("x", "y"))
         return _plane_verdict(phi, x0, y0, extra)
-    return IsotropyVerdict("unknown", phi,
-                           reason="unliftable residue certificate "
-                           f"({(vres.certificate or {}).get('kind')})")
+    return IsotropyVerdict("unknown", phi, reason="unliftable residue "
+                           f"certificate ({cert.get('kind')})")
 
 
 def _plane_product(phi, x0, y0) -> Optional[FieldElem]:
@@ -525,12 +521,9 @@ def _plane_verdict(phi, x0, y0, extra) -> IsotropyVerdict:
         raise SoundnessError("plane is polar-degenerate")
     if not wp_member(w):
         raise SoundnessError("plane certificate failed its wp replay")
-    cert = {"kind": "isotropic-plane",
-            "x": [render_element(v) for v in x0],
-            "y": [render_element(v) for v in y0],
-            "plane_product": render_element(w), **extra}
-    return IsotropyVerdict("isotropic", phi, certificate=cert,
-                           plane=(tuple(x0), tuple(y0)))
+    cert = {"kind": "isotropic-plane", "x": tuple(x0), "y": tuple(y0),
+            "plane_product": w, **extra}
+    return IsotropyVerdict("isotropic", phi, certificate=cert)
 
 
 def replay_verdict(v: IsotropyVerdict) -> bool:
@@ -545,7 +538,7 @@ def replay_verdict(v: IsotropyVerdict) -> bool:
         a, b = v.form.blocks[cert["block"]]
         return wp_member(a * b)
     if kind == "isotropic-plane":
-        w = _plane_product(v.form, *v.plane)
+        w = _plane_product(v.form, cert["x"], cert["y"])
         return w is not None and wp_member(w)
     if v.is_anisotropic:
         return decide_isotropy(v.form).is_anisotropic
@@ -578,9 +571,7 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
             i = cert["block"]
             blocks = list(current.blocks)
             removed = blocks.pop(i)
-            planes.append({"kind": "block",
-                           "a": render_element(removed[0]),
-                           "b": render_element(removed[1])})
+            planes.append({"kind": "block", "a": removed[0], "b": removed[1]})
             current = QuadraticForm(current.field, tuple(blocks),
                                     current.quasilinear)
             index += 1
@@ -589,8 +580,8 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
             current = _split_explicit(current, verdict.witness, planes)
             index += 1
             continue
-        if verdict.plane is not None:
-            current = _split_plane(current, *verdict.plane, planes)
+        if cert.get("kind") == "isotropic-plane":
+            current = _split_plane(current, cert["x"], cert["y"], planes)
             index += 1
             continue
         raise SoundnessError("isotropic verdict with no rational split")
@@ -610,16 +601,12 @@ def _split_explicit(phi, witness, planes):
         raise Undecided("witness lies in the polar radical; no plane to split")
     u = [K.zero()] * phi.dim
     u[j] = v[j ^ 1].inverse()
-    planes.append({"kind": "explicit",
-                   "v": [render_element(x) for x in v],
-                   "u": [render_element(x) for x in u]})
+    planes.append({"kind": "explicit", "v": tuple(v), "u": tuple(u)})
     return _complement(phi, v, u)
 
 
 def _split_plane(phi, x0, y0, planes):
-    planes.append({"kind": "plane",
-                   "x": [render_element(v) for v in x0],
-                   "y": [render_element(v) for v in y0]})
+    planes.append({"kind": "plane", "x": x0, "y": y0})
     binv = phi.polar(list(x0), list(y0)).inverse()
     u = [y if y.is_zero() else y * binv for y in y0]
     return _complement(phi, list(x0), u)

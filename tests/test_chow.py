@@ -169,6 +169,167 @@ def test_chow3_dim11_index_rule():
     assert "ind-vanishing-dim11" in r.rules
 
 
+# chow3 rules at dimensions 9-12 that no pinned file reaches, one form
+# each over F2((s))((t))((u)) with its whole report as compact JSON, so the
+# rendering of its certificates is pinned too.  No form in a 30-s seeded
+# search fired ind-vanishing-dim9 or dim10-norm-decomposition.
+CHOW3_DIM9_12 = [
+    ("pf(s,t;1) + u*[1,1]", "hyperbolic-over-disc",
+     '{"schema_version": "1", "codim": 3, "dim": 10, "torsion": {"kind": '
+     '"Exactly", "order": 1, "group": "0"}, "elementary": true, "image": '
+     'null, "rules": ["hyperbolic-over-disc"], "assumptions": [], '
+     '"certificates": {"anisotropy": {"kind": "anisotropic", "form": '
+     '{"field": "F2((s))((t))((u))", "blocks": [["1", "1"], ["t", "1/t"], '
+     '["s", "1/s"], ["s*t", "(1/s)/t"], ["u", "1/u"]], "quasilinear": '
+     '[]}, "certificate": {"kind": "residue-split", "variable": "u", '
+     '"tamed": false, "first": {"kind": "anisotropic", "form": {"field": '
+     '"F2((s))((t))", "blocks": [["1", "1"], ["t", "1/t"], ["s", "1/s"], '
+     '["s*t", "(1/s)/t"]], "quasilinear": []}, "certificate": {"kind": '
+     '"residue-split", "variable": "t", "tamed": false, "first": {"kind": '
+     '"anisotropic", "form": {"field": "F2((s))", "blocks": [["1", "1"], '
+     '["s", "1/s"]], "quasilinear": []}, "certificate": {"kind": '
+     '"residue-split", "variable": "s", "tamed": false, "first": {"kind": '
+     '"anisotropic", "form": {"field": "F2", "blocks": [["1", "1"]], '
+     '"quasilinear": []}, "certificate": {"kind": "finite", "dim": 2, '
+     '"detail": "trace criterion"}}, "second": {"kind": "anisotropic", '
+     '"form": {"field": "F2", "blocks": [["1", "1"]], "quasilinear": []}, '
+     '"certificate": {"kind": "finite", "dim": 2, "detail": "trace '
+     'criterion"}}}}, "second": {"kind": "anisotropic", "form": {"field": '
+     '"F2((s))", "blocks": [["1", "1"], ["s", "1/s"]], "quasilinear": '
+     '[]}, "certificate": {"kind": "residue-split", "variable": "s", '
+     '"tamed": false, "first": {"kind": "anisotropic", "form": {"field": '
+     '"F2", "blocks": [["1", "1"]], "quasilinear": []}, "certificate": '
+     '{"kind": "finite", "dim": 2, "detail": "trace criterion"}}, '
+     '"second": {"kind": "anisotropic", "form": {"field": "F2", "blocks": '
+     '[["1", "1"]], "quasilinear": []}, "certificate": {"kind": "finite", '
+     '"dim": 2, "detail": "trace criterion"}}}}}}, "second": {"kind": '
+     '"anisotropic", "form": {"field": "F2((s))((t))", "blocks": [["1", '
+     '"1"]], "quasilinear": []}, "certificate": {"kind": "binary-wp", '
+     '"class": {"wild": [], "constant": {"wild": [], "constant": {"bit": '
+     '1}}}}}}}, "splitting_index": {"dim": 10, "s": 4, "index_interval": '
+     '[1, 1], "rule": "symbols"}}}'),
+    ("[1,1]+s*[1,1]+t*[1,1]+u*[1,1]+<s*t*u>", "dim9-even-part-i2q",
+     '{"schema_version": "1", "codim": 3, "dim": 9, "torsion": {"kind": '
+     '"Exactly", "order": 1, "group": "0"}, "elementary": true, "image": '
+     'null, "rules": ["dim9-even-part-i2q"], "assumptions": [], '
+     '"certificates": {"anisotropy": {"kind": "anisotropic", "form": '
+     '{"field": "F2((s))((t))((u))", "blocks": [["1", "1"], ["s", "1/s"], '
+     '["t", "1/t"], ["u", "1/u"]], "quasilinear": ["s*t*u"]}, '
+     '"certificate": {"kind": "residue-split", "variable": "u", "tamed": '
+     'false, "first": {"kind": "anisotropic", "form": {"field": '
+     '"F2((s))((t))", "blocks": [["1", "1"], ["s", "1/s"], ["t", "1/t"]], '
+     '"quasilinear": []}, "certificate": {"kind": "residue-split", '
+     '"variable": "t", "tamed": false, "first": {"kind": "anisotropic", '
+     '"form": {"field": "F2((s))", "blocks": [["1", "1"], ["s", "1/s"]], '
+     '"quasilinear": []}, "certificate": {"kind": "residue-split", '
+     '"variable": "s", "tamed": false, "first": {"kind": "anisotropic", '
+     '"form": {"field": "F2", "blocks": [["1", "1"]], "quasilinear": []}, '
+     '"certificate": {"kind": "finite", "dim": 2, "detail": "trace '
+     'criterion"}}, "second": {"kind": "anisotropic", "form": {"field": '
+     '"F2", "blocks": [["1", "1"]], "quasilinear": []}, "certificate": '
+     '{"kind": "finite", "dim": 2, "detail": "trace criterion"}}}}, '
+     '"second": {"kind": "anisotropic", "form": {"field": "F2((s))", '
+     '"blocks": [["1", "1"]], "quasilinear": []}, "certificate": {"kind": '
+     '"binary-wp", "class": {"wild": [], "constant": {"bit": 1}}}}}}, '
+     '"second": {"kind": "anisotropic", "form": {"field": "F2((s))((t))", '
+     '"blocks": [["1", "1"]], "quasilinear": ["s*t"]}, "certificate": '
+     '{"kind": "residue-split", "variable": "t", "tamed": false, "first": '
+     '{"kind": "anisotropic", "form": {"field": "F2((s))", "blocks": '
+     '[["1", "1"]], "quasilinear": []}, "certificate": {"kind": '
+     '"binary-wp", "class": {"wild": [], "constant": {"bit": 1}}}}, '
+     '"second": {"kind": "anisotropic", "form": {"field": "F2((s))", '
+     '"blocks": [], "quasilinear": ["s"]}, "certificate": {"kind": '
+     '"ql-independent", "dim": 1}}}}}}, "splitting_index": {"dim": 9, '
+     '"s": 3, "index_interval": [2, 2], "rule": "symbols"}}}'),
+    ("[1,1] + s*u*[1,1/s] + s*t*u*[1,1] + s*[1,1] + s*t*[1,1+1/s] "
+     "+ t*u*[1,1]", "ind-vanishing-dim12",
+     '{"schema_version": "1", "codim": 3, "dim": 12, "torsion": {"kind": '
+     '"Exactly", "order": 1, "group": "0"}, "elementary": true, "image": '
+     'null, "rules": ["ind-vanishing-dim12"], "assumptions": [], '
+     '"certificates": {"anisotropy": {"kind": "anisotropic", "form": '
+     '{"field": "F2((s))((t))((u))", "blocks": [["1", "1"], ["s*u", '
+     '"(1/s^2)/u"], ["s*t*u", "((1/s)/t)/u"], ["s", "1/s"], ["s*t", '
+     '"((s+1)/s^2)/t"], ["t*u", "(1/t)/u"]], "quasilinear": []}, '
+     '"certificate": {"kind": "residue-split", "variable": "u", "tamed": '
+     'false, "first": {"kind": "anisotropic", "form": {"field": '
+     '"F2((s))((t))", "blocks": [["1", "1"], ["s", "1/s"], ["s*t", '
+     '"((s+1)/s^2)/t"]], "quasilinear": []}, "certificate": {"kind": '
+     '"residue-split", "variable": "t", "tamed": false, "first": {"kind": '
+     '"anisotropic", "form": {"field": "F2((s))", "blocks": [["1", "1"], '
+     '["s", "1/s"]], "quasilinear": []}, "certificate": {"kind": '
+     '"residue-split", "variable": "s", "tamed": false, "first": {"kind": '
+     '"anisotropic", "form": {"field": "F2", "blocks": [["1", "1"]], '
+     '"quasilinear": []}, "certificate": {"kind": "finite", "dim": 2, '
+     '"detail": "trace criterion"}}, "second": {"kind": "anisotropic", '
+     '"form": {"field": "F2", "blocks": [["1", "1"]], "quasilinear": []}, '
+     '"certificate": {"kind": "finite", "dim": 2, "detail": "trace '
+     'criterion"}}}}, "second": {"kind": "anisotropic", "form": {"field": '
+     '"F2((s))", "blocks": [["s", "(s+1)/s^2"]], "quasilinear": []}, '
+     '"certificate": {"kind": "binary-wp", "class": {"wild": [[-1, "1"]], '
+     '"constant": {"bit": 1}}}}}}, "second": {"kind": "anisotropic", '
+     '"form": {"field": "F2((s))((t))", "blocks": [["s", "1/s^2"], '
+     '["s*t", "(1/s)/t"], ["t", "1/t"]], "quasilinear": []}, '
+     '"certificate": {"kind": "residue-split", "variable": "t", "tamed": '
+     'false, "first": {"kind": "anisotropic", "form": {"field": '
+     '"F2((s))", "blocks": [["s", "1/s^2"]], "quasilinear": []}, '
+     '"certificate": {"kind": "binary-wp", "class": {"wild": [[-1, "1"]], '
+     '"constant": {"bit": 0}}}}, "second": {"kind": "anisotropic", '
+     '"form": {"field": "F2((s))", "blocks": [["s", "1/s"], ["1", "1"]], '
+     '"quasilinear": []}, "certificate": {"kind": "residue-split", '
+     '"variable": "s", "tamed": false, "first": {"kind": "anisotropic", '
+     '"form": {"field": "F2", "blocks": [["1", "1"]], "quasilinear": []}, '
+     '"certificate": {"kind": "finite", "dim": 2, "detail": "trace '
+     'criterion"}}, "second": {"kind": "anisotropic", "form": {"field": '
+     '"F2", "blocks": [["1", "1"]], "quasilinear": []}, "certificate": '
+     '{"kind": "finite", "dim": 2, "detail": "trace criterion"}}}}}}}}, '
+     '"splitting_index": {"dim": 12, "s": 4, "index_interval": [2, 2], '
+     '"rule": "symbols"}}}'),
+    ("t*u*[1,1/s] + t*[1,1] + [1,1] + s*[1,1] + s*u*[1,1/s]",
+     "ind-vanishing-dim10",
+     '{"schema_version": "1", "codim": 3, "dim": 10, "torsion": {"kind": '
+     '"Exactly", "order": 1, "group": "0"}, "elementary": true, "image": '
+     'null, "rules": ["ind-vanishing-dim10"], "assumptions": [], '
+     '"certificates": {"anisotropy": {"kind": "anisotropic", "form": '
+     '{"field": "F2((s))((t))((u))", "blocks": [["t*u", "((1/s)/t)/u"], '
+     '["t", "1/t"], ["1", "1"], ["s", "1/s"], ["s*u", "(1/s^2)/u"]], '
+     '"quasilinear": []}, "certificate": {"kind": "residue-split", '
+     '"variable": "u", "tamed": false, "first": {"kind": "anisotropic", '
+     '"form": {"field": "F2((s))((t))", "blocks": [["t", "1/t"], ["1", '
+     '"1"], ["s", "1/s"]], "quasilinear": []}, "certificate": {"kind": '
+     '"residue-split", "variable": "t", "tamed": false, "first": {"kind": '
+     '"anisotropic", "form": {"field": "F2((s))", "blocks": [["1", "1"], '
+     '["s", "1/s"]], "quasilinear": []}, "certificate": {"kind": '
+     '"residue-split", "variable": "s", "tamed": false, "first": {"kind": '
+     '"anisotropic", "form": {"field": "F2", "blocks": [["1", "1"]], '
+     '"quasilinear": []}, "certificate": {"kind": "finite", "dim": 2, '
+     '"detail": "trace criterion"}}, "second": {"kind": "anisotropic", '
+     '"form": {"field": "F2", "blocks": [["1", "1"]], "quasilinear": []}, '
+     '"certificate": {"kind": "finite", "dim": 2, "detail": "trace '
+     'criterion"}}}}, "second": {"kind": "anisotropic", "form": {"field": '
+     '"F2((s))", "blocks": [["1", "1"]], "quasilinear": []}, '
+     '"certificate": {"kind": "binary-wp", "class": {"wild": [], '
+     '"constant": {"bit": 1}}}}}}, "second": {"kind": "anisotropic", '
+     '"form": {"field": "F2((s))((t))", "blocks": [["t", "(1/s)/t"], '
+     '["s", "1/s^2"]], "quasilinear": []}, "certificate": {"kind": '
+     '"residue-split", "variable": "t", "tamed": false, "first": {"kind": '
+     '"anisotropic", "form": {"field": "F2((s))", "blocks": [["s", '
+     '"1/s^2"]], "quasilinear": []}, "certificate": {"kind": "binary-wp", '
+     '"class": {"wild": [[-1, "1"]], "constant": {"bit": 0}}}}, "second": '
+     '{"kind": "anisotropic", "form": {"field": "F2((s))", "blocks": '
+     '[["1", "1/s"]], "quasilinear": []}, "certificate": {"kind": '
+     '"binary-wp", "class": {"wild": [[-1, "1"]], "constant": {"bit": '
+     '0}}}}}}}}, "splitting_index": {"dim": 10, "s": 3, "index_interval": '
+     '[2, 2], "rule": "symbols"}}}'),
+]
+
+
+@pytest.mark.parametrize("text, rule, report", CHOW3_DIM9_12)
+def test_chow3_rules_at_dims_9_to_12(text, rule, report):
+    r = chow3_torsion(form(K3, text))
+    assert r.rules == (rule,)
+    assert json.dumps(r.to_json()) == report
+
+
 def test_chow3_order_bound_universal():
     rng = random.Random(43)
     for _ in range(15):
@@ -276,7 +437,8 @@ def test_chow2_unknown_neighbor_wording_dims_7_8(monkeypatch):
         assert (r.kind, r.rules) == ("AtMost", ("order-bound",))
         assert r.assumptions == (
             f"dim-{dim} Pfister-neighbor status unknown: no witness",)
-        assert r.certificates["neighbor"] == unknown.to_json()
+        assert r.certificates["neighbor"] is unknown
+        assert r.to_json()["certificates"]["neighbor"] == unknown.to_json()
 
 
 ORDER_THREE = """

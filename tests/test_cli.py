@@ -9,9 +9,10 @@ import pytest
 
 from qf2.cli import (COMPUTATIONS, Job, build_parser, main, parse_job,
                      render_text, run_report)
+from qf2 import fieldtower, forms
 from qf2.errors import Degenerate, ParseError
 from qf2.fieldtower import parse_field
-from qf2.forms import parse_form
+from qf2.forms import arf_representative, parse_form
 
 from helpers import checkout_env
 
@@ -65,6 +66,27 @@ def test_witt_report_content():
     rep = run_report(job)
     w = rep["forms"][0]["witt"]
     assert w["witt_index"] == 3 and w["kernel_dim"] == 0
+
+
+@pytest.mark.parametrize("text, kind", [("[1,t]", "split"),
+                                        ("[1,1]", "field"),
+                                        ("[1,s*t^-2]", "unsupported")])
+def test_invariants_reduce_delta_once(monkeypatch, text, kind):
+    # the Arf class and the discriminant algebra's kind come from one
+    # reduction of delta
+    delta = arf_representative(parse_form(parse_field("F2((s))((t))"), text))
+    reduced = []
+
+    def counting(a, reduce=fieldtower.wp_reduce):
+        reduced.append(a)
+        return reduce(a)
+
+    monkeypatch.setattr(fieldtower, "wp_reduce", counting)
+    monkeypatch.setattr(forms, "wp_reduce", counting)
+    rep = run_report(parse_job(f"field F2((s))((t)); form {text}; "
+                               "run invariants"))
+    assert rep["forms"][0]["invariants"]["discriminant_algebra"] == kind
+    assert reduced.count(delta) == 1
 
 
 def test_chow2_json_shape():

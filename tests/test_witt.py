@@ -15,7 +15,7 @@ from qf2.clifford import splitting_index
 from qf2.errors import (BudgetExceeded, DegreeOverflow, NotNormalizable,
                         SoundnessError, Undecided)
 from qf2.fieldtower import (FieldElem, parse_field, quad_extend,
-                            render_element, wp_member)
+                            render_element, render_json, wp_member)
 from qf2.forms import (QuadraticForm, arf, hyperbolic, hyperbolic_plane,
                        isometric, orthogonal_sum, parse_form, render_form,
                        scale)
@@ -57,16 +57,33 @@ def test_wp_block_isotropy():
 def test_isotropic_plane_carries_exact_plane():
     phi = form(K1, "[1,1]+<t+1>")
     v = decide_isotropy(phi)
-    assert v.certificate["kind"] == "isotropic-plane"
-    x0, y0 = v.plane
-    assert [render_element(c) for c in x0] == v.certificate["x"]
-    assert [render_element(c) for c in y0] == v.certificate["y"]
-    assert not any(k.startswith("_") for k in v.certificate)
-    assert json.loads(json.dumps(v.to_json()))["certificate"] == v.certificate
+    cert = v.certificate
+    assert cert["kind"] == "isotropic-plane"
+    x0, y0, w = cert["x"], cert["y"], cert["plane_product"]
+    assert all(isinstance(c, FieldElem) for c in x0 + y0 + (w,))
+    assert w == witt._plane_product(phi, x0, y0)
+    assert not any(k.startswith("_") for k in cert)
+    rendered = json.loads(json.dumps(v.to_json()))["certificate"]
+    assert rendered == render_json(cert)
+    assert rendered["x"] == [render_element(c) for c in x0]
+    assert rendered["y"] == [render_element(c) for c in y0]
     assert replay_verdict(v)
     # b(x0, x0) = 0 in characteristic 2: a degenerate plane must not replay
-    assert not replay_verdict(dataclasses.replace(v, plane=(x0, x0)))
+    assert not replay_verdict(
+        dataclasses.replace(v, certificate={**cert, "y": x0}))
     assert witt_decompose(phi).witt_index == 1
+
+
+def test_isotropic_first_residue_is_lifted_past_an_unknown_second():
+    # the first residue form [1,1]+[1,1] is isotropic; the second one has a
+    # block whose class is wild at s, so it is undecided
+    phi = form(K2, "[1,1] + [1,1+t] + t*[1,1/s] + <t>")
+    assert decide_isotropy(springer_residues(phi).second).is_unknown
+    v = decide_isotropy(phi)
+    assert v.is_isotropic and v.certificate["kind"] == "lifted-witness"
+    assert phi.evaluate(v.witness).is_zero()
+    assert any(not x.is_zero() for x in v.witness)
+    assert replay_verdict(v)
 
 
 def test_quasilinear_four_independent():
@@ -203,8 +220,9 @@ def _assert_exact_isotropy(phi, v):
     if v.witness is not None:
         assert phi.evaluate(v.witness).is_zero()
         assert any(not x.is_zero() for x in v.witness)
-    elif v.plane is not None:
-        assert wp_member(witt._plane_product(phi, *v.plane))
+    elif v.certificate["kind"] == "isotropic-plane":
+        x0, y0 = v.certificate["x"], v.certificate["y"]
+        assert wp_member(witt._plane_product(phi, x0, y0))
     else:
         a, b = phi.blocks[v.certificate["block"]]
         assert wp_member(a * b)
@@ -415,9 +433,10 @@ def test_split_plane_off_a_unit_polar_value():
     got = witt._split_plane(phi, x0, y0, planes)
     want = witt_oracle._complement(phi, list(x0), [y / b for y in y0])
     assert got.to_json() == want.to_json()
-    assert planes == [{"kind": "plane",
-                       "x": [render_element(c) for c in x0],
-                       "y": [render_element(c) for c in y0]}]
+    assert planes == [{"kind": "plane", "x": x0, "y": y0}]
+    assert render_json(planes) == [{"kind": "plane",
+                                    "x": [render_element(c) for c in x0],
+                                    "y": [render_element(c) for c in y0]}]
 
 
 def test_complement_of_a_degenerate_span_raises():
