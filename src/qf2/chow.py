@@ -228,7 +228,9 @@ def chow3_torsion(phi: QuadraticForm) -> ChowReport:
         return _atmost(3, phi, rules, sub.assumptions,
                        {"reduced_to": sub})
     cert = {"anisotropy": verdict}
-    arf_zero = phi.is_nonsingular and arf(phi).is_zero()
+    # held for the whole report, so splitting_index reads it off the memo
+    disc = discriminant_algebra(phi) if phi.is_nonsingular else None
+    arf_zero = disc is not None and disc.kind == "split"
     if dim == 6:
         if arf_zero:
             return _exact(3, phi, 1, True, ["dim6-albert-torsion-free"],
@@ -244,16 +246,17 @@ def chow3_torsion(phi: QuadraticForm) -> ChowReport:
         return _atmost(3, phi, ["order-bound"],
                        ["dim-6 splitting index unresolved"], cert)
     if dim in (9, 10, 11, 12):
-        report = _index_vanishing_rules(phi, dim, arf_zero, cert)
+        report = _index_vanishing_rules(phi, dim, disc, cert)
         if report is not None:
             return report
     assumptions = ["no vanishing rule certified at this dimension"]
     return _atmost(3, phi, ["order-bound"], assumptions, cert)
 
 
-def _index_vanishing_rules(phi, dim, arf_zero, cert):
-    """Prop-7.13-style index conditions and the hyperbolic-over-discriminant
-    vanishing; None when no rule fires with certified hypotheses."""
+def _index_vanishing_rules(phi, dim, disc, cert):
+    """Prop-7.13-style index rules and hyperbolicity over disc (phi's
+    discriminant algebra, None if singular); None unless a rule fires."""
+    arf_zero = disc is not None and disc.kind == "split"
     sres = splitting_index(phi)
     cert["splitting_index"] = sres
     lo, hi = sres.ind_low, sres.ind_high
@@ -270,17 +273,14 @@ def _index_vanishing_rules(phi, dim, arf_zero, cert):
         return _exact(3, phi, 1, True, ["ind-vanishing-dim9"],
                       certificates=cert)
     # hyperbolic over the discriminant field (even dim > 8, Arf != 0)
-    disc = None
-    if dim in (10, 12) and phi.is_nonsingular and not arf_zero:
-        disc = discriminant_algebra(phi)
-        if disc.kind == "field":
-            try:
-                iw = witt_index_over_ext(phi, disc)
-            except Undecided:
-                iw = None
-            if iw == dim // 2:
-                return _exact(3, phi, 1, True, ["hyperbolic-over-disc"],
-                              certificates=cert)
+    if dim in (10, 12) and disc is not None and disc.kind == "field":
+        try:
+            iw = witt_index_over_ext(phi, disc)
+        except Undecided:
+            iw = None
+        if iw == dim // 2:
+            return _exact(3, phi, 1, True, ["hyperbolic-over-disc"],
+                          certificates=cert)
     # dim 9 with tau in I^2_q: phi = tau _|_ <d>, Arf(tau) = 0, ind > 1
     if dim == 9 and len(phi.quasilinear) == 1:
         tau = QuadraticForm(phi.field, phi.blocks)

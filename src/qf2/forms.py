@@ -11,7 +11,9 @@ with a zero entry are hyperbolic and get normalized to [0,0] eagerly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import weakref
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
@@ -38,6 +40,9 @@ class QuadraticForm:
     field: FieldDescriptor
     blocks: tuple = ()       # ((a, b), ...) FieldElem pairs
     quasilinear: tuple = ()  # (c, ...) nonzero FieldElems
+    # form_fact's weak references by function name; never pickled
+    _facts: dict = dc_field(init=False, repr=False, compare=False,
+                            default_factory=dict)
 
     def __post_init__(self):
         zero = self.field.zero()
@@ -55,6 +60,9 @@ class QuadraticForm:
                 raise FieldMismatch("quasilinear entry over the wrong field")
             if c.is_zero():
                 raise Degenerate(1)
+
+    def __reduce__(self):
+        return type(self), (self.field, self.blocks, self.quasilinear)
 
     @property
     def dim(self) -> int:
@@ -103,6 +111,20 @@ class QuadraticForm:
         return render_json({"field": self.field.render(),
                             "blocks": self.blocks,
                             "quasilinear": self.quasilinear})
+
+
+def form_fact(fn):
+    """Memoize fn(phi) on phi by a weak reference: a value that holds phi
+    makes no cycle and is kept while held.  None and errors are not kept."""
+    @functools.wraps(fn)
+    def memo(phi):
+        value = phi._facts.get(fn.__name__, lambda: None)()
+        if value is None:
+            value = fn(phi)
+            if value is not None:
+                phi._facts[fn.__name__] = weakref.ref(value)
+        return value
+    return memo
 
 
 @dataclass(frozen=True)
@@ -279,6 +301,7 @@ def arf(phi: QuadraticForm) -> WpClass:
     return wp_reduce(arf_representative(phi))
 
 
+@form_fact
 def discriminant_algebra(phi: QuadraticForm) -> ExtensionResult:
     """K[T]/(T^2 + T + delta) for delta the Arf representative."""
     return quad_extend(phi.field, arf_representative(phi))

@@ -32,7 +32,8 @@ from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, _gf,
                          _principal_root, frobenius_components,
                          render_json, unit_residue, valuation_split,
                          wp_member, wp_reduce)
-from .forms import GramInput, QuadraticForm, _axpy, _plus, normal_form
+from .forms import (GramInput, QuadraticForm, _axpy, _plus, form_fact,
+                    normal_form)
 
 __all__ = [
     "IsotropyVerdict", "WittDecomposition", "ResiduePair",
@@ -373,8 +374,10 @@ def springer_residues(phi: QuadraticForm) -> ResiduePair:
 # ---------------------------------------------------------------------------
 # The decision procedure.
 
+@form_fact
 def decide_isotropy(phi: QuadraticForm) -> IsotropyVerdict:
-    """Decide whether phi has a nontrivial zero over its Laurent tower."""
+    """Decide whether phi has a nontrivial zero over its Laurent tower.  The
+    verdict is reused while something holds it (form_fact)."""
     K = phi.field
     n = phi.dim
     zero, one = K.zero(), K.one()
@@ -444,6 +447,10 @@ def decide_isotropy(phi: QuadraticForm) -> IsotropyVerdict:
     cert = {"kind": "residue-split", "variable": K.top_variable,
             "tamed": bool(layout.shears), "first": v0, "second": v1}
     return IsotropyVerdict("anisotropic", phi, certificate=cert)
+
+
+# for replays: the engine without the memo, bound before any rebinding
+_decide_afresh = decide_isotropy.__wrapped__
 
 
 def _lift_isotropy(phi, layout, side, vres) -> IsotropyVerdict:
@@ -541,7 +548,7 @@ def replay_verdict(v: IsotropyVerdict) -> bool:
         w = _plane_product(v.form, cert["x"], cert["y"])
         return w is not None and wp_member(w)
     if v.is_anisotropic:
-        return decide_isotropy(v.form).is_anisotropic
+        return _decide_afresh(v.form).is_anisotropic
     return False
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qf2 import pfister
+from qf2 import forms, pfister
 from qf2.errors import RangeViolation
 from qf2.fieldtower import parse_field
 from qf2.forms import (QuadraticForm, hyperbolic, hyperbolic_plane,
@@ -327,6 +327,24 @@ CHOW3_DIM9_12 = [
 def test_chow3_rules_at_dims_9_to_12(text, rule, report):
     r = chow3_torsion(form(K3, text))
     assert r.rules == (rule,)
+    assert json.dumps(r.to_json()) == report
+
+
+def test_chow3_reduces_delta_once(monkeypatch):
+    # arf_zero, the splitting index and the hyperbolic-over-disc rule all
+    # read the one discriminant algebra the report holds
+    text, _rule, report = CHOW3_DIM9_12[0]
+    phi = form(K3, text)
+    calls = []
+    arf_representative = forms.arf_representative
+
+    def spy(psi):
+        if psi == phi:
+            calls.append(psi)
+        return arf_representative(psi)
+    monkeypatch.setattr(forms, "arf_representative", spy)
+    r = chow3_torsion(phi)
+    assert len(calls) == 1
     assert json.dumps(r.to_json()) == report
 
 

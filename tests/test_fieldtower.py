@@ -16,6 +16,8 @@ from qf2.fieldtower import (FieldDescriptor, frobenius_components, is_square,
                             parse_element, parse_field, quad_extend,
                             render_element, unit_residue, valuation_split,
                             wp_member, wp_reduce, wp_root)
+from qf2.forms import parse_form
+from qf2.witt import decide_isotropy
 
 from helpers import K1, K2, K3, checkout_env, random_elem, run_optimized
 
@@ -585,6 +587,17 @@ def test_descriptor_pickles_without_its_ops(K):
     assert back == K and hash(back) == hash(K) and repr(back) == repr(K)
     assert back._ops is fieldtower._ops_key(K.base_exponent, K.level)
     assert back.one() + back.one() == K.zero()
+
+
+def test_form_pickles_without_its_facts():
+    phi = parse_form(K2, "[1,1]+t*[1,1]+<t>")
+    v = decide_isotropy(phi)     # held, so phi keeps a weak reference to it
+    data = pickle.dumps(phi)
+    assert b"_facts" not in data
+    back = pickle.loads(data)
+    assert back == phi and hash(back) == hash(phi) and repr(back) == repr(phi)
+    assert not getattr(back, "_facts", {})
+    assert decide_isotropy(back).to_json() == v.to_json()
 
 
 def test_equal_descriptors_built_apart_still_meet():

@@ -1,10 +1,12 @@
 """Witt engine: isotropy decisions, decomposition, residues, search oracle."""
 
 import dataclasses
+import gc
 import json
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,9 +18,9 @@ from qf2.errors import (BudgetExceeded, DegreeOverflow, NotNormalizable,
                         SoundnessError, Undecided)
 from qf2.fieldtower import (FieldElem, parse_field, quad_extend,
                             render_element, render_json, wp_member)
-from qf2.forms import (QuadraticForm, arf, hyperbolic, hyperbolic_plane,
-                       isometric, orthogonal_sum, parse_form, render_form,
-                       scale)
+from qf2.forms import (QuadraticForm, arf, form_fact, hyperbolic,
+                       hyperbolic_plane, isometric, orthogonal_sum,
+                       parse_form, render_form, scale)
 from qf2.witt import (brute_force_search, decide_isotropy, replay_verdict,
                       springer_residues, witt_decompose, witt_index_over_ext)
 
@@ -84,6 +86,70 @@ def test_isotropic_first_residue_is_lifted_past_an_unknown_second():
     assert phi.evaluate(v.witness).is_zero()
     assert any(not x.is_zero() for x in v.witness)
     assert replay_verdict(v)
+
+
+def test_replay_decides_a_tampered_verdict_again():
+    # v is still held, so the memo of decide_isotropy(v.form) is v itself;
+    # the replay must run the engine, which finds the form isotropic
+    v = decide_isotropy(form(K2, "[1,1]+t*[1,1]+<t>"))
+    assert v.certificate["kind"] == "lifted-witness"
+    for name, value in (("kind", "anisotropic"), ("witness", None),
+                        ("certificate", {"kind": "residue-split"})):
+        object.__setattr__(v, name, value)
+    assert not replay_verdict(v)
+
+
+# --- the verdict memo ----------------------------------------------------------
+
+def test_verdict_is_reused_while_held():
+    phi = form(K1, "[1,1]+t*[1,1]")
+    v = decide_isotropy(phi)
+    assert decide_isotropy(phi) is v
+    twin = form(K1, "[1,1]+t*[1,1]")
+    assert twin == phi and twin is not phi
+    w = decide_isotropy(twin)
+    assert w is not v and w.to_json() == v.to_json()
+
+
+def test_dropped_verdict_is_freed_and_decided_again(monkeypatch):
+    phi = form(K1, "[1,1]+t*[1,1]")
+    gc.disable()
+    try:
+        v = decide_isotropy(phi)
+        ref = weakref.ref(v)
+        del v
+        # freed by its reference count alone: the memo made no cycle
+        assert ref() is None
+    finally:
+        gc.enable()
+    layouts = []
+    residue_layout = witt._residue_layout
+
+    def spy(psi):
+        layouts.append(psi)
+        return residue_layout(psi)
+    monkeypatch.setattr(witt, "_residue_layout", spy)
+    assert decide_isotropy(phi).is_anisotropic
+    assert layouts == [phi]
+
+
+def test_memo_keeps_neither_none_nor_errors():
+    phi = form(K1, "[1,1]")
+    calls = []
+
+    @form_fact
+    def nothing(psi):
+        calls.append(psi)
+
+    @form_fact
+    def failing(psi):
+        calls.append(psi)
+        raise DegreeOverflow("degree 65 > 64")
+    for _ in range(2):
+        assert nothing(phi) is None
+        with pytest.raises(DegreeOverflow):
+            failing(phi)
+    assert len(calls) == 4 and phi._facts == {}
 
 
 def test_quasilinear_four_independent():
