@@ -10,10 +10,10 @@ from .fieldtower import (FieldDescriptor, FieldElem, WpClass, is_square,
                          parse_element, parse_field, quad_extend,
                          render_element, valuation_split, wp_member,
                          wp_reduce, wp_root)
-from .forms import (GramInput, QuadraticForm, arf, combine,
-                    discriminant_algebra, hyperbolic, hyperbolic_plane,
-                    isometric, normal_form, orthogonal_sum, parse_form,
-                    render_form, represents, scale, subform_test)
+from .forms import (GramInput, QuadraticForm, arf, discriminant_algebra,
+                    hyperbolic, hyperbolic_plane, isometric, normal_form,
+                    orthogonal_sum, parse_form, render_form, represents,
+                    scale, subform_test)
 from .witt import (IsotropyVerdict, ResiduePair, WittDecomposition,
                    brute_force_search, decide_isotropy, springer_residues,
                    witt_decompose, witt_index_over_ext)

@@ -156,7 +156,10 @@ def parse_job(text: str, defaults: Job = None) -> Job:
     return job
 
 
-# Each runner(phi, job) returns (entry, undecided).
+# Each runner(phi, job) returns (entry, undecided).  The entry holds exact
+# values (verdicts, reports, forms, classes, witness vectors): run_report
+# keeps them until the form's last runner, so that a later runner reads each
+# fact off the form's memo (forms.form_fact), and then renders them once.
 
 def _run_invariants(phi, job):
     out = {"dim": phi.dim, "nonsingular": phi.is_nonsingular,
@@ -165,29 +168,29 @@ def _run_invariants(phi, job):
         cls = arf(phi)
         out["arf_zero"] = cls.is_zero()
         out["arf_tame"] = cls.is_tame()
-        out["arf_class"] = cls.to_json()
+        out["arf_class"] = cls
         out["discriminant_algebra"] = cls.extension_kind()
     return out, False
 
 
 def _run_witt(phi, job):
     verdict = decide_isotropy(phi)
-    out = {"isotropy": verdict.to_json()}
+    out = {"isotropy": verdict}
     undecided = verdict.is_unknown
     if not undecided:
         try:
             dec = witt_decompose(phi)
             out["witt_index"] = dec.witt_index
             out["kernel_dim"] = dec.kernel.dim
-            out["kernel"] = dec.kernel.to_json()
+            out["kernel"] = dec.kernel
             out["exact"] = dec.exact
         except Undecided as exc:
             out["witt_index"] = None
             out["reason"] = str(exc)
             undecided = True
     try:
-        wit = brute_force_search(phi, job.degree_bound, budget=job.budget)
-        out["search_witness"] = render_json(wit)
+        out["search_witness"] = brute_force_search(phi, job.degree_bound,
+                                                   budget=job.budget)
     except BudgetExceeded as exc:
         out["search_witness"] = None
         out["search_budget_exhausted"] = str(exc)
@@ -195,12 +198,10 @@ def _run_witt(phi, job):
 
 
 def _run_clifford(phi, job):
-    out = {}
     res = splitting_index(phi)
-    out["splitting_index"] = res.to_json()
+    out = {"splitting_index": res}
     try:
-        desc = even_clifford_class(phi)
-        out["even_clifford_class"] = desc.to_json()
+        out["even_clifford_class"] = even_clifford_class(phi)
     except QF2Error as exc:
         out["even_clifford_class"] = {"error": str(exc)}
     if phi.dim <= DEFAULT_DIMENSION_CAP:
@@ -218,17 +219,17 @@ def _run_pfister(phi, job):
     if nv is None:
         return {"neighbor": None,
                 "note": f"no neighbor test at dimension {phi.dim}"}, False
-    return {"neighbor": nv.to_json()}, nv.status == "unknown"
+    return {"neighbor": nv}, nv.status == "unknown"
 
 
 def _run_chow2(phi, job):
     report = chow2_torsion(phi)
-    return report.to_json(), report.kind == "AtMost"
+    return report, report.kind == "AtMost"
 
 
 def _run_chow3(phi, job):
     report = chow3_torsion(phi)
-    return report.to_json(), report.kind == "AtMost"
+    return report, report.kind == "AtMost"
 
 
 # in report order
@@ -239,14 +240,15 @@ COMPUTATIONS = (*_RUNNERS, "all")
 
 
 def run_report(job: Job) -> dict:
-    """Evaluate every requested computation on every form; deterministic."""
+    """Evaluate every requested computation on every form; deterministic.
+    Each form's entry is rendered once, after its last runner."""
     K = parse_field(job.field_text)
     runs = list(_RUNNERS) if "all" in job.runs else job.runs
     undecided = False
     forms_out = []
     for ft in job.form_texts:
         phi = parse_form(K, ft)
-        entry = {"input": ft, "form": phi.to_json()}
+        entry = {"input": ft, "form": phi}
         for comp in runs:
             try:
                 entry[comp], bit = _RUNNERS[comp](phi, job)
@@ -255,7 +257,7 @@ def run_report(job: Job) -> dict:
                                "detail": str(exc)}
                 bit = True
             undecided = undecided or bit
-        forms_out.append(entry)
+        forms_out.append(render_json(entry))
     return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
             "field": K.render(), "forms": forms_out,
             "any_undecided": undecided}

@@ -24,7 +24,7 @@ from .errors import (DimensionCap, NotAlbert, OddDimension, SoundnessError,
 from .fieldtower import (ExtensionResult, FieldElem, is_square, quad_extend,
                          render_json, wp_member, wp_root)
 from .forms import (QuadraticForm, arf, arf_representative,
-                    discriminant_algebra, orthogonal_sum, scale)
+                    discriminant_algebra, form_fact, orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 
 __all__ = [
@@ -427,6 +427,7 @@ def _interval(dim, low, high, rule):
     return SplittingIndexResult(dim, None, low, high, rule)
 
 
+@form_fact
 def splitting_index(phi: QuadraticForm) -> SplittingIndexResult:
     """s(phi) and ind(phi) via the Witt-index reductions.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
                      Undecided, ZeroScalar)
@@ -27,7 +26,7 @@ __all__ = [
     "QuadraticForm", "GramInput",
     "hyperbolic_plane", "hyperbolic", "block",
     "normal_form", "normal_form_trace", "arf", "arf_representative",
-    "discriminant_algebra", "combine", "orthogonal_sum", "scale",
+    "discriminant_algebra", "orthogonal_sum", "scale",
     "square_scale_block", "subform_test", "represents", "isometric",
     "parse_form", "render_form",
 ]
@@ -297,6 +296,7 @@ def arf_representative(phi: QuadraticForm) -> FieldElem:
     return acc
 
 
+@form_fact
 def arf(phi: QuadraticForm) -> WpClass:
     return wp_reduce(arf_representative(phi))
 
@@ -338,15 +338,6 @@ def square_scale_block(phi: QuadraticForm, i: int, c: FieldElem) -> QuadraticFor
     newblocks = list(phi.blocks)
     newblocks[i] = (a * c2, b / c2)
     return QuadraticForm(phi.field, tuple(newblocks), phi.quasilinear)
-
-
-def combine(phi: QuadraticForm, psi: Optional[QuadraticForm] = None,
-            lam: Optional[FieldElem] = None) -> QuadraticForm:
-    """Orthogonal sum with psi (if given), then scaling by lam (if given)."""
-    out = orthogonal_sum(phi, psi) if psi is not None else phi
-    if lam is not None:
-        out = scale(lam, out)
-    return out
 
 
 # ---------------------------------------------------------------------------

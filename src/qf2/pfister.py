@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import SoundnessError, Undecided, ZeroScalar
 from .fieldtower import FieldDescriptor, FieldElem, render_json
-from .forms import (QuadraticForm, arf, discriminant_algebra,
+from .forms import (QuadraticForm, arf, discriminant_algebra, form_fact,
                     orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 from .clifford import splitting_index
@@ -161,6 +161,7 @@ def _certified_yes(phi, rule):
                                                "search exhausted its pool")
 
 
+@form_fact
 def neighbor(phi: QuadraticForm) -> Optional[NeighborVerdict]:
     """The Pfister-neighbor test for phi's dimension; None outside 5..8."""
     # module-global lookups at call time, so a wrapper installed on the

@@ -6,14 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from qf2 import forms, pfister
+from qf2 import chow, forms, pfister
 from qf2.errors import RangeViolation
 from qf2.fieldtower import parse_field
 from qf2.forms import (QuadraticForm, hyperbolic, hyperbolic_plane,
                        orthogonal_sum, parse_form)
 from qf2.chow import (anisotropic_image_row, chow2_torsion, chow3_torsion,
                       isotropic_reduce, split_chow_structure)
-from qf2.witt import decide_isotropy
+from qf2.clifford import SplittingIndexResult
+from qf2.witt import IsotropyVerdict, decide_isotropy
 
 from helpers import K1, K2, K3, random_tame_form, run_optimized
 
@@ -346,6 +347,25 @@ def test_chow3_reduces_delta_once(monkeypatch):
     r = chow3_torsion(phi)
     assert len(calls) == 1
     assert json.dumps(r.to_json()) == report
+
+
+@pytest.mark.parametrize("iw, kind, rules", [
+    (1, "Exactly", ("dim10-norm-decomposition",)),
+    (0, "AtMost", ("order-bound",))])
+def test_chow3_dim10_norm_rule_reads_the_index_over_disc(monkeypatch, iw,
+                                                         kind, rules):
+    # phi contains some c N_L iff phi is isotropic over L; the stubs stand
+    # for an anisotropic form with index interval [2, 4], which no pinned
+    # form reaches
+    phi = form(K1, "[1,1]+[t,1]+[t,1]+[t,1]+[t,1]")
+    monkeypatch.setattr(chow, "decide_isotropy",
+                        lambda psi: IsotropyVerdict("anisotropic", psi))
+    monkeypatch.setattr(chow, "splitting_index", lambda psi:
+                        SplittingIndexResult(10, None, 2, 4, "symbols"))
+    monkeypatch.setattr(chow, "witt_index_over_ext", lambda psi, ext: iw)
+    r = chow3_torsion(phi)
+    assert (r.kind, r.rules) == (kind, rules)
+    assert list(r.certificates) == ["anisotropy", "splitting_index"]
 
 
 def test_chow3_order_bound_universal():

@@ -9,7 +9,7 @@ import pytest
 
 from qf2.cli import (COMPUTATIONS, Job, build_parser, main, parse_job,
                      render_text, run_report)
-from qf2 import fieldtower, forms
+from qf2 import clifford, fieldtower, forms, pfister
 from qf2.errors import Degenerate, ParseError
 from qf2.fieldtower import parse_field
 from qf2.forms import arf_representative, parse_form
@@ -87,6 +87,35 @@ def test_invariants_reduce_delta_once(monkeypatch, text, kind):
                                "run invariants"))
     assert rep["forms"][0]["invariants"]["discriminant_algebra"] == kind
     assert reduced.count(delta) == 1
+
+
+@pytest.mark.parametrize("text, most", [
+    ("form pf(s,t;1); run all",
+     {"_search_witness": 1, "arf_representative": 4}),
+    ("form [1,1]+s*[1,1]+<t>; run chow2,pfister",
+     {"_search_witness": 1, "_splitting_index_anisotropic": 1,
+      "arf_representative": 2})])
+def test_a_job_decides_each_fact_once(monkeypatch, text, most):
+    # run_report holds each runner's values until the form's last runner,
+    # so the neighbor verdict, the splitting index and the Arf class are
+    # read off the form's memo after their first computation
+    calls = dict.fromkeys(("_search_witness", "_splitting_index_anisotropic",
+                           "arf_representative"), 0)
+
+    def spy(module, name):
+        work = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return work(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(pfister, "_search_witness")
+    spy(clifford, "_splitting_index_anisotropic")
+    spy(forms, "arf_representative")
+    spy(clifford, "arf_representative")
+    run_report(parse_job(f"field F2((s))((t)); {text}"))
+    assert all(calls[name] <= n for name, n in most.items()), calls
 
 
 def test_chow2_json_shape():

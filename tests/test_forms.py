@@ -10,11 +10,10 @@ from qf2.errors import (Degenerate, DegreeOverflow, OddDimension, QF2Error,
                         Undecided)
 from qf2.fieldtower import parse_field, render_element, wp_reduce
 from qf2.forms import (GramInput, QuadraticForm, arf, arf_representative,
-                       combine, discriminant_algebra, hyperbolic,
-                       hyperbolic_plane, isometric, normal_form,
-                       normal_form_trace, orthogonal_sum, parse_form,
-                       render_form, represents, scale, square_scale_block,
-                       subform_test)
+                       discriminant_algebra, hyperbolic, hyperbolic_plane,
+                       isometric, normal_form, normal_form_trace,
+                       orthogonal_sum, parse_form, render_form, represents,
+                       scale, square_scale_block, subform_test)
 
 from helpers import K1, K2, random_elem, random_tame_form
 
@@ -222,7 +221,7 @@ def test_discriminant_unsupported_wild():
     assert d.kind == "unsupported"
 
 
-# --- combine / scale -----------------------------------------------------------
+# --- sums / scale --------------------------------------------------------------
 
 def test_scale_block_identity():
     phi = form(K1, "[1,1]")
@@ -241,8 +240,8 @@ def test_combine_dim_additive_and_order():
     a = random_tame_form(K2, rng, 1)
     b = random_tame_form(K2, rng, 2)
     c = random_tame_form(K2, rng, 1, quasilinear=1)
-    lhs = combine(combine(a, b), c)
-    rhs = combine(a, combine(b, c))
+    lhs = orthogonal_sum(orthogonal_sum(a, b), c)
+    rhs = orthogonal_sum(a, orthogonal_sum(b, c))
     assert lhs == rhs
     assert lhs.dim == a.dim + b.dim + c.dim
 

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qf2 import witt
+from qf2 import clifford, forms, pfister, witt
 from qf2.clifford import splitting_index
 from qf2.errors import (BudgetExceeded, DegreeOverflow, NotNormalizable,
-                        SoundnessError, Undecided)
+                        QF2Error, SoundnessError, Undecided)
 from qf2.fieldtower import (FieldElem, parse_field, quad_extend,
                             render_element, render_json, wp_member)
 from qf2.forms import (QuadraticForm, arf, form_fact, hyperbolic,
@@ -150,6 +150,40 @@ def test_memo_keeps_neither_none_nor_errors():
         with pytest.raises(DegreeOverflow):
             failing(phi)
     assert len(calls) == 4 and phi._facts == {}
+
+
+@pytest.mark.parametrize("fact, module, worker", [
+    (arf, forms, "wp_reduce"),
+    (splitting_index, clifford, "witt_decompose"),
+    (pfister.neighbor, pfister, "neighbor_dim6")])
+def test_form_facts_are_weak(monkeypatch, fact, module, worker):
+    # reused while held, freed and computed again once dropped; an error is
+    # raised again on every call
+    calls = []
+    work = getattr(module, worker)
+
+    def spy(*args):
+        calls.append(args)
+        return work(*args)
+    monkeypatch.setattr(module, worker, spy)
+    phi = form(K1, "[0,0]+[1,1]+[1,t]")
+    gc.disable()
+    try:
+        value = fact(phi)
+        once = len(calls)
+        assert once >= 1 and fact(phi) is value and len(calls) == once
+        ref = weakref.ref(value)
+        del value
+        assert ref() is None
+    finally:
+        gc.enable()
+    fact(phi)
+    assert len(calls) == 2 * once
+    degenerate = form(K1, "[0,0]+[1,1]+<1,t>")
+    for _ in range(2):
+        with pytest.raises(QF2Error):
+            fact(degenerate)
+    assert degenerate._facts == {}
 
 
 def test_quasilinear_four_independent():
