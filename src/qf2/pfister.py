@@ -6,6 +6,12 @@ an n-fold Pfister form.  Dimension 5 and 6 neighbors are decided completely
 (splitting index / discriminant-extension Witt index); dimensions 7 and 8
 are decided by verified witnesses over a finite generator pool, or return
 Unknown - never an unverified No.
+
+The witness search never builds a candidate <<a_1,a_2; b]] that is
+hyperbolic by construction: one whose slot is a square or whose two slots
+are equal.  Such a form is isotropic, so it could never be a witness, and
+skipping it changes no verdict, witness or search budget (_search_witness
+gives the proof).
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SoundnessError, Undecided, ZeroScalar
-from .fieldtower import FieldDescriptor, FieldElem, render_json
+from .errors import DegreeOverflow, SoundnessError, Undecided, ZeroScalar
+from .fieldtower import FieldDescriptor, FieldElem, is_square, render_json
 from .forms import (QuadraticForm, arf, discriminant_algebra, form_fact,
                     orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
@@ -27,7 +33,8 @@ __all__ = [
     "neighbor_high", "default_slot_pool",
 ]
 
-# (lam, spec) candidates that _search_witness tests before giving up
+# lam tries against anisotropic Pfister forms that _search_witness makes
+# before giving up
 _SEARCH_BUDGET = 400
 
 
@@ -131,13 +138,42 @@ def default_slot_pool(phi: QuadraticForm):
 
 def _search_witness(phi):
     """First verified (lam, spec) with phi inside lam * pi for a 3-fold
-    Pfister form pi, or None; slots and lam range over
-    default_slot_pool(phi)."""
+    Pfister form pi, or None; the slots, the quadratic slot and lam range
+    over default_slot_pool(phi), in that nesting order.
+
+    A pi that decide_isotropy does not call anisotropic is passed over, and
+    only a lam tried against an anisotropic pi counts against
+    _SEARCH_BUDGET.  A slot pair (a_1, a_2) with a square slot, or with two
+    equal slots (the pool has no repeats, so they share an index), is
+    skipped before any of its forms is built, because every
+    pi = <<a_1,a_2; b]] it gives is hyperbolic:
+      * <1,c^2>_bil (x) psi = psi + c^2 psi ~ psi + psi;
+      * <<a,a; b]] = rho + a rho with rho = [1,b] + a[1,b], so it contains
+        a[1,b] + a[1,b];
+      * rho + rho is hyperbolic for a nonsingular rho in characteristic 2:
+        its diagonal {(v, v)} is totally isotropic (q(v) + q(v) = 0 and
+        b(v,w) + b(v,w) = 0) and of half the dimension.
+    So pi is isotropic, and an isotropic Pfister form is hyperbolic
+    (Elman-Karpenko-Merkurjev, "The Algebraic and Geometric Theory of
+    Quadratic Forms", 2008, section 9; Hoffmann-Laghribi, "Quadratic forms
+    and Pfister neighbors in characteristic 2", Trans. AMS 356 (2004), for
+    neighbours).  Such a pi was passed over uncounted, so the skip returns
+    the same (lam, spec) or None as building all of pool^2 x pool; only a
+    DegreeOverflow that building or deciding a skipped pi would have raised
+    is gone.  A slot whose squareness test overflows is not skipped."""
     pool = default_slot_pool(phi)
+    square = []
+    for a in pool:
+        try:
+            square.append(is_square(a)[0])
+        except DegreeOverflow:
+            square.append(False)
     tried = 0
-    for slots in itertools.product(pool, repeat=2):
+    for (i, a1), (j, a2) in itertools.product(enumerate(pool), repeat=2):
+        if i == j or square[i] or square[j]:
+            continue
         for quad in pool:
-            spec = PfisterSpec(phi.field, tuple(slots), quad)
+            spec = PfisterSpec(phi.field, (a1, a2), quad)
             pi = make_pfister(spec)
             vpi = decide_isotropy(pi)
             if not vpi.is_anisotropic:

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from qf2 import pfister
+from qf2.errors import Undecided
 from qf2.fieldtower import parse_field
 from qf2.forms import (QuadraticForm, arf, isometric, parse_form, scale,
                        subform_test)
@@ -12,7 +14,8 @@ from qf2.pfister import (NeighborVerdict, PfisterSpec, make_pfister,
                          pfister_hyperbolicity)
 from qf2.witt import decide_isotropy, witt_decompose
 
-from helpers import K1, K2, K3, random_unit
+from helpers import K1, K2, K3, random_tame_form, random_unit
+import pfister_oracle
 
 F2 = parse_field("F2")
 
@@ -197,3 +200,108 @@ def test_neighbor_consistency_with_splitting_index():
         res = splitting_index(phi)
         if nv.status in ("yes", "no") and res.resolved:
             assert (nv.status == "yes") == (res.s == 1)
+
+
+# --- witness search -----------------------------------------------------------------
+
+def _search_corpus():
+    """(name, phi): the acceptance forms of dims 5-8, seeded tame forms of
+    dims 5-8 over F2((t)) and F2((s))((t)), a dim-5 form over F4((t)), and a
+    scaled neighbour over F2((s))((t))((u)) whose witness is the 11th lam
+    tried against an anisotropic Pfister form."""
+    pf8 = form(K2, "pf(s,t;1)")
+    out = [("dim5-neighbour", form(K2, "[1,1]+s*[1,1]+<t>")),
+           ("dim6-neighbour", form(K2, "[1,1]+s*[1,1]+t*[1,1]")),
+           ("dim7-neighbour",
+            QuadraticForm(K2, pf8.blocks[:-1], (pf8.blocks[-1][0],))),
+           ("dim8-pfister", pf8)]
+    rng = random.Random(18)
+    for K in (K1, K2):
+        for blocks, ql in ((2, 1), (3, 0), (3, 1), (4, 0)):
+            out.append((f"tame-L{K.level}-dim{2 * blocks + ql}",
+                        random_tame_form(K, rng, blocks, quasilinear=ql)))
+    out.append(("F4-dim5", random_tame_form(parse_field("F4((t))"), rng, 2,
+                                            quasilinear=1)))
+    out.append(("L3-scaled-neighbour", form(K3, "t*[1,1]+t*s*[1,1]+<t*u>")))
+    return out
+
+
+def _search_built(search, phi):
+    """search(phi) and the specs it passed to pfister.make_pfister."""
+    built = []
+    real = pfister.make_pfister
+
+    def spy(sp):
+        built.append(sp)
+        return real(sp)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pfister, "make_pfister", spy)
+        return search(phi), built
+
+
+def _compare_searches(corpus):
+    """(name, pruned, full) per form: each a (result, built specs) pair."""
+    return [(name, _search_built(pfister._search_witness, phi),
+             _search_built(pfister_oracle.search_witness, phi))
+            for name, phi in corpus]
+
+
+@pytest.fixture(scope="module")
+def default_budget_searches():
+    return _compare_searches(_search_corpus())
+
+
+@pytest.mark.parametrize("text", ["[1,1]+s*[1,1]+<t>",
+                                  "[1,1]+s*[1,1]+t*[1,1]", "pf(s,t;1)"])
+def test_search_builds_only_the_witness(text):
+    # the full enumeration builds 25, 36 and 64 forms before <<s,t;1]]
+    found, built = _search_built(pfister._search_witness, form(K2, text))
+    assert found == (K2.one(), spec(K2, ["s", "t"], "1"))
+    assert built == [found[1]]
+
+
+def _assert_same_search(searches):
+    for name, (found, built), (ref, ref_built) in searches:
+        assert found == ref, name
+        # same order: the pruned search builds a subsequence of the grid
+        rest = iter(ref_built)
+        assert all(sp in rest for sp in built), name
+    assert {found is None for _, (found, _), _ in searches} == {True, False}
+
+
+def test_search_matches_full_enumeration(default_budget_searches):
+    _assert_same_search(default_budget_searches)
+
+
+@pytest.mark.parametrize("budget", [8, 40])
+def test_search_matches_full_enumeration_on_a_small_budget(monkeypatch,
+                                                           budget):
+    monkeypatch.setattr(pfister, "_SEARCH_BUDGET", budget)
+    _assert_same_search(_compare_searches(_search_corpus()))
+
+
+def test_search_budget_counts_lam_tries_only(monkeypatch):
+    # 88 specs skipped or isotropic and 10 lam rejected before the witness
+    phi = form(K3, "t*[1,1]+t*s*[1,1]+<t*u>")
+    witness = (K3.element("t"), spec(K3, ["s", "u"], "1"))
+    for search in (pfister._search_witness, pfister_oracle.search_witness):
+        monkeypatch.setattr(pfister, "_SEARCH_BUDGET", 10)
+        assert search(phi) is None
+        monkeypatch.setattr(pfister, "_SEARCH_BUDGET", 11)
+        assert search(phi) == witness
+
+
+def test_skipped_candidates_are_hyperbolic(default_budget_searches):
+    skipped = set()
+    for _, (_, built), (_, ref_built) in default_budget_searches:
+        skipped.update(set(ref_built) - set(built))
+    assert skipped
+    for sp in skipped:
+        pi = make_pfister(sp)
+        assert not decide_isotropy(pi).is_anisotropic, sp
+        try:
+            index = witt_decompose(pi).witt_index
+        except Undecided:
+            continue
+        assert index == 4, sp
