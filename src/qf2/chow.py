@@ -182,10 +182,10 @@ def chow2_torsion(phi: QuadraticForm) -> ChowReport:
         return _exact(2, phi, 2, False, [f"{prefix}-pfister-neighbor"],
                       certificates=cert)
     if nv.status == "no":
-        elementary = dim != 8 or not arf(phi).is_zero()
+        # phi is anisotropic: at dim 8, "no" only by Arf != 0 (elementary)
         image = anisotropic_image_row(4, 2, arf_zero=False) if dim == 6 \
             else None
-        return _exact(2, phi, 1, elementary, [f"{prefix}-not-neighbor"],
+        return _exact(2, phi, 1, True, [f"{prefix}-not-neighbor"],
                       image=image, certificates=cert)
     return _atmost(2, phi, ["order-bound"], [unknown + nv.reason], cert)
 

@@ -1,10 +1,11 @@
-"""Clifford algebras as structure-constant algebras, and the splitting-index
-machinery that reduces index computations to Witt indices.
+"""Clifford algebras and their centres, and the splitting-index machinery
+that reduces index computations to Witt indices.
 
 The centre of C(phi) or C_0(phi) is read off the form: its quasilinear rank,
-and the Arf representative delta with centre K[T]/(T^2 + T + delta).  The
-multiplication table checks that reading (u^2 + u = delta, e^2 = e); no
-linear system is solved for the centre.
+and the Arf representative delta with centre K[T]/(T^2 + T + delta).  No
+multiplication table is built and no linear system is solved; the structure
+constants, and the linear solve for the centre on them, are the tests'
+reference (tests/clifford_oracle.py).
 
 Index computation never does generic central-simple-algebra arithmetic: a
 nonsingular block [a,b] has Clifford algebra the quaternion symbol (ab, a]
@@ -38,118 +39,24 @@ DEFAULT_DIMENSION_CAP = 8
 
 
 # ---------------------------------------------------------------------------
-# Structure-constant Clifford algebras.
+# Clifford algebras.
 
 class CliffordAlgebra:
-    """C(phi) (or its even part) on the 2^n monomial basis.
-
-    Elements are dicts {mask: coefficient}; mask bit i means generator e_i,
-    letters ordered ascending.  Relations: e_i^2 = phi(e_i), and
-    e_i e_j + e_j e_i = b_phi(e_i, e_j) for i != j.
-    """
+    """C(phi), or its even part C_0(phi), described and not multiplied out:
+    the form, which part, and the dimension 2^n (2^(n-1) for the even part
+    when n >= 1)."""
 
     def __init__(self, form: QuadraticForm, even_only: bool = False):
         self.form = form
         self.even_only = even_only
         self.n = form.dim
-        K = form.field
-        self.K = K
-        self._diag = []
-        for a, b in form.blocks:
-            self._diag.extend([a, b])
-        self._diag.extend(form.quasilinear)
-        self._pairs = {}
-        for i in range(len(form.blocks)):
-            self._pairs[2 * i] = 2 * i + 1
-            self._pairs[2 * i + 1] = 2 * i
-        self._gen_cache = {}
-        self.basis_masks = [m for m in range(1 << self.n)
-                            if not even_only or bin(m).count("1") % 2 == 0]
-        self.dim = len(self.basis_masks)
-
-    # b_phi(e_i, e_j): 1 inside a block pair, 0 otherwise
-    def _polar_gen(self, i, j):
-        return self.K.one() if self._pairs.get(i) == j else self.K.zero()
-
-    def _mul_gen(self, mask, j):
-        """e_mask * e_j as a dict."""
-        key = (mask, j)
-        hit = self._gen_cache.get(key)
-        if hit is not None:
-            return hit
-        one = self.K.one()
-        if mask == 0:
-            out = {1 << j: one}
-        else:
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            if top < j:
-                out = {mask | (1 << j): one}
-            elif top == j:
-                q = self._diag[j]
-                out = {rest: q} if not q.is_zero() else {}
-            else:
-                out = {}
-                for m2, c2 in self._mul_gen(rest, j).items():
-                    if (m2 >> top) & 1:
-                        raise SoundnessError("e_rest * e_j contains e_top")
-                    out[m2 | (1 << top)] = c2
-                bij = self._polar_gen(top, j)
-                if not bij.is_zero():
-                    _accumulate(out, rest, bij, self.K.zero())
-        self._gen_cache[key] = out
-        return out
-
-    def mul_masks(self, m1, m2):
-        acc = {m1: self.K.one()}
-        zero = self.K.zero()
-        j = 0
-        while m2:
-            if m2 & 1:
-                nxt = {}
-                for m, c in acc.items():
-                    for m3, c3 in self._mul_gen(m, j).items():
-                        _accumulate(nxt, m3, c * c3, zero)
-                acc = nxt
-            m2 >>= 1
-            j += 1
-        return acc
-
-    def mul(self, x: dict, y: dict) -> dict:
-        out = {}
-        zero = self.K.zero()
-        for m1, c1 in x.items():
-            for m2, c2 in y.items():
-                for m3, c3 in self.mul_masks(m1, m2).items():
-                    _accumulate(out, m3, c1 * c2 * c3, zero)
-        return out
-
-    def add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        zero = self.K.zero()
-        for m, c in y.items():
-            _accumulate(out, m, c, zero)
-        return out
-
-    def one(self):
-        return {0: self.K.one()}
-
-    def equal(self, x, y):
-        return self.add(x, y) == {}
-
-
-def _accumulate(out: dict, mask, c: FieldElem, zero: FieldElem) -> None:
-    """out[mask] += c, dropping the entry when the sum is zero."""
-    cur = out.get(mask, zero) + c
-    if cur.is_zero():
-        out.pop(mask, None)
-    else:
-        out[mask] = cur
+        self.K = form.field
+        self.dim = 1 << (self.n - 1) if even_only and self.n else 1 << self.n
 
 
 def build_clifford(phi: QuadraticForm,
                    even_only: bool = False) -> CliffordAlgebra:
-    """Multiplication table of C(phi) (or C_0(phi) on the even masks)."""
+    """C(phi) (or C_0(phi)), for forms of dimension at most the cap."""
     if phi.dim > DEFAULT_DIMENSION_CAP:
         raise DimensionCap(f"dim {phi.dim} > cap {DEFAULT_DIMENSION_CAP}")
     return CliffordAlgebra(phi, even_only=even_only)
@@ -184,12 +91,15 @@ def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
     K + Ku, u = sum_i e_(2i) e_(2i+1).  Since e_1 e_0 = e_0 e_1 + 1,
     (e_0 e_1)^2 = e_0 (e_0 e_1 + 1) e_1 = ab + e_0 e_1; the block terms
     commute, so u^2 + u = sum a_i b_i, the Arf representative delta, and the
-    centre is K[T]/(T^2 + T + delta) (EKM 2008, ch. II).  A linear solve for
+    centre is the discriminant algebra K[T]/(T^2 + T + delta) (EKM 2008,
+    ch. II), which a caller may already hold.  A linear solve for
     the centralizer finds this same u: mask 0 is a free column of its own,
     so the kernel vector besides 1 is the multiple of u with a 1 at its
     free column, and every coefficient of u is 1.  When wp_root gives z_0,
-    u + z_0 is the idempotent.  Both identities are checked in A's own
-    structure constants."""
+    u + z_0 is the idempotent: z_0 is central, so (u + z_0)^2 =
+    u + delta + z_0^2, which is u + z_0 exactly when z_0^2 + z_0 = delta,
+    and that is checked here in K.  The tests multiply out both identities
+    in the structure constants (tests/clifford_oracle.py)."""
     r = len(A.form.quasilinear)
     if r:
         dim = 2 ** (r - 1) if A.even_only else 2 ** r
@@ -197,18 +107,19 @@ def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
                             "inseparable" if dim == 2 else None, None)
     if not A.even_only or A.n == 0:
         return CenterResult(1, None, None, None)
-    one = A.K.one()
-    u = {3 << (2 * i): one for i in range(len(A.form.blocks))}
-    delta = arf_representative(A.form)
-    if not A.equal(A.mul(u, u), A.add(u, {0: delta})):
-        raise SoundnessError("u^2 + u is not scalar")
-    kind = quad_extend(A.K, delta).kind
-    if kind != "split":
-        return CenterResult(2, delta, kind, None)
+    centre = discriminant_algebra(A.form)
+    delta = centre.delta
+    if centre.kind != "split":
+        return CenterResult(2, delta, centre.kind, None)
     z = wp_root(delta)
-    idem = A.add(u, {0: z}) if z is not None else None
-    if idem is not None and not A.equal(A.mul(idem, idem), idem):
+    if z is None:
+        return CenterResult(2, delta, "split", None)
+    if not (z * z + z + delta).is_zero():
         raise SoundnessError("idempotent check failed")
+    one = A.K.one()
+    idem = {3 << (2 * i): one for i in range(len(A.form.blocks))}
+    if not z.is_zero():
+        idem[0] = z
     return CenterResult(2, delta, "split", idem)
 
 

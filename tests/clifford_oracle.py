@@ -1,17 +1,154 @@
-"""The centre of a Clifford algebra by linear algebra on its structure
-constants: the reference that `qf2.clifford.center_and_idempotents`, which
-reads the centre off the form, is compared against.
+"""The structure constants of a Clifford algebra, and its centre by linear
+algebra on them: the reference that `qf2.clifford.center_and_idempotents`,
+which reads the centre off the form, is compared against.
 
-`solve_center` assembles the commutator constraints x*g + g*x = 0 for a
-generating set of A (`_generators`), one row per basis mask, and takes the
-kernel by row reduction (`kernel_basis`).  It costs a 2^(n-1)-column system
+`StructureConstants` is the multiplication table of C(phi) or C_0(phi) on the
+2^n monomial basis (`structure_constants` builds it under the package's
+dimension cap).  `check_center_identities` multiplies out, in that table, the
+two identities the package's centre rests on.  `solve_center` assembles the
+commutator constraints x*g + g*x = 0 for a generating set of A
+(`_generators`), one row per basis mask, and takes the kernel by row
+reduction (`kernel_basis`).  It costs a 2^(n-1)-column system
 per algebra, which is why it lives here and not in the package.
 """
 
 from qf2._linalg import rref
-from qf2.clifford import CenterResult, CliffordAlgebra
-from qf2.errors import SoundnessError
-from qf2.fieldtower import FieldDescriptor, wp_reduce, wp_root
+from qf2.clifford import DEFAULT_DIMENSION_CAP, CenterResult, CliffordAlgebra
+from qf2.errors import DimensionCap, SoundnessError
+from qf2.fieldtower import FieldDescriptor, FieldElem, wp_reduce, wp_root
+from qf2.forms import QuadraticForm
+
+
+class StructureConstants(CliffordAlgebra):
+    """C(phi) (or its even part) on the 2^n monomial basis.
+
+    Elements are dicts {mask: coefficient}; mask bit i means generator e_i,
+    letters ordered ascending.  Relations: e_i^2 = phi(e_i), and
+    e_i e_j + e_j e_i = b_phi(e_i, e_j) for i != j.
+    """
+
+    def __init__(self, form: QuadraticForm, even_only: bool = False):
+        super().__init__(form, even_only)
+        self._diag = []
+        for a, b in form.blocks:
+            self._diag.extend([a, b])
+        self._diag.extend(form.quasilinear)
+        self._pairs = {}
+        for i in range(len(form.blocks)):
+            self._pairs[2 * i] = 2 * i + 1
+            self._pairs[2 * i + 1] = 2 * i
+        self._gen_cache = {}
+        self.basis_masks = [m for m in range(1 << self.n)
+                            if not even_only or bin(m).count("1") % 2 == 0]
+
+    # b_phi(e_i, e_j): 1 inside a block pair, 0 otherwise
+    def _polar_gen(self, i, j):
+        return self.K.one() if self._pairs.get(i) == j else self.K.zero()
+
+    def _mul_gen(self, mask, j):
+        """e_mask * e_j as a dict."""
+        key = (mask, j)
+        hit = self._gen_cache.get(key)
+        if hit is not None:
+            return hit
+        one = self.K.one()
+        if mask == 0:
+            out = {1 << j: one}
+        else:
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            if top < j:
+                out = {mask | (1 << j): one}
+            elif top == j:
+                q = self._diag[j]
+                out = {rest: q} if not q.is_zero() else {}
+            else:
+                out = {}
+                for m2, c2 in self._mul_gen(rest, j).items():
+                    if (m2 >> top) & 1:
+                        raise SoundnessError("e_rest * e_j contains e_top")
+                    out[m2 | (1 << top)] = c2
+                bij = self._polar_gen(top, j)
+                if not bij.is_zero():
+                    _accumulate(out, rest, bij, self.K.zero())
+        self._gen_cache[key] = out
+        return out
+
+    def mul_masks(self, m1, m2):
+        acc = {m1: self.K.one()}
+        zero = self.K.zero()
+        j = 0
+        while m2:
+            if m2 & 1:
+                nxt = {}
+                for m, c in acc.items():
+                    for m3, c3 in self._mul_gen(m, j).items():
+                        _accumulate(nxt, m3, c * c3, zero)
+                acc = nxt
+            m2 >>= 1
+            j += 1
+        return acc
+
+    def mul(self, x: dict, y: dict) -> dict:
+        out = {}
+        zero = self.K.zero()
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                for m3, c3 in self.mul_masks(m1, m2).items():
+                    _accumulate(out, m3, c1 * c2 * c3, zero)
+        return out
+
+    def add(self, x: dict, y: dict) -> dict:
+        out = dict(x)
+        zero = self.K.zero()
+        for m, c in y.items():
+            _accumulate(out, m, c, zero)
+        return out
+
+    def one(self):
+        return {0: self.K.one()}
+
+    def equal(self, x, y):
+        return self.add(x, y) == {}
+
+
+def _accumulate(out: dict, mask, c: FieldElem, zero: FieldElem) -> None:
+    """out[mask] += c, dropping the entry when the sum is zero."""
+    cur = out.get(mask, zero) + c
+    if cur.is_zero():
+        out.pop(mask, None)
+    else:
+        out[mask] = cur
+
+
+def structure_constants(phi: QuadraticForm,
+                        even_only: bool = False) -> StructureConstants:
+    """Multiplication table of C(phi) (or C_0(phi) on the even masks)."""
+    if phi.dim > DEFAULT_DIMENSION_CAP:
+        raise DimensionCap(f"dim {phi.dim} > cap {DEFAULT_DIMENSION_CAP}")
+    return StructureConstants(phi, even_only=even_only)
+
+
+def check_center_identities(A: StructureConstants, centre: CenterResult):
+    """Multiply out, in A's structure constants, the identities behind an
+    etale centre K + Ku, u = sum_i e_(2i) e_(2i+1), read off the form:
+    u^2 + u = delta and, for the idempotent e = u + z_0, e^2 = e.  Raises
+    SoundnessError on a failure (never `assert`: this module is not
+    rewritten under python -O); returns how many identities were checked."""
+    if centre.delta is None:
+        return 0
+    one = A.K.one()
+    u = {3 << (2 * i): one for i in range(len(A.form.blocks))}
+    if not A.equal(A.mul(u, u), A.add(u, {0: centre.delta})):
+        raise SoundnessError("u^2 + u is not delta")
+    e = centre.idempotent
+    if e is None:
+        return 1
+    if not set(A.add(e, u)) <= {0}:
+        raise SoundnessError("idempotent is not u + z_0")
+    if not A.equal(A.mul(e, e), e):
+        raise SoundnessError("idempotent check failed")
+    return 2
 
 
 def kernel_basis(K: FieldDescriptor, rows, ncols=None):
@@ -39,7 +176,7 @@ def kernel_basis(K: FieldDescriptor, rows, ncols=None):
     return basis
 
 
-def _generators(A: CliffordAlgebra):
+def _generators(A: StructureConstants):
     """A generating set of A as an algebra.
 
     Full algebra: the single generators e_j.  Even part: with w the first
@@ -60,7 +197,7 @@ def _generators(A: CliffordAlgebra):
     return [A.mul(w, {1 << j: one}) for j in range(A.n) if j != support[0]]
 
 
-def solve_center(A: CliffordAlgebra) -> CenterResult:
+def solve_center(A: StructureConstants) -> CenterResult:
     """Centralizer by linear solve; for an etale 2-dimensional center,
     classify the Artin-Schreier polynomial and, when it splits rationally,
     return the idempotent realizing C_0 = A x A.

@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/data/make_center_pinned.py
 
 Each entry records the centre of one Clifford algebra, found by the linear
-solve in tests/clifford_oracle.py: its dimension, delta, classification and
-idempotent (mask -> rendered coefficient).  The corpus mixes full and even
+solve on the structure constants in tests/clifford_oracle.py: its
+dimension, delta, classification and idempotent (mask -> rendered
+coefficient).  The corpus mixes full and even
 algebras over F2, F2((t)), F2((s))((t)) and F4((t)); it includes
 hyperbolic(F2, 2), where no basis vector is anisotropic, and a singular form
 of dimension 7.  Rerunning this script must reproduce the file, and
@@ -20,9 +21,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tests"))
 
-from clifford_oracle import solve_center  # noqa: E402
+from clifford_oracle import solve_center, structure_constants  # noqa: E402
 from helpers import K1, K2, random_tame_form  # noqa: E402
-from qf2.clifford import build_clifford  # noqa: E402
 from qf2.fieldtower import parse_field, render_element  # noqa: E402
 from qf2.forms import hyperbolic, parse_form, render_form  # noqa: E402
 
@@ -57,7 +57,7 @@ def corpus():
 
 def record(field, text, even_only):
     phi = parse_form(parse_field(field), text)
-    c = solve_center(build_clifford(phi, even_only=even_only))
+    c = solve_center(structure_constants(phi, even_only=even_only))
     idem = None
     if c.idempotent is not None:
         idem = {str(m): render_element(x)

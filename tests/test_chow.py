@@ -463,6 +463,27 @@ def test_chow_pinned():
         assert pfister.neighbor(phi).to_json() == e["neighbor"], e["form"]
 
 
+def test_dim8_not_neighbor_reads_the_arf_class_once(monkeypatch):
+    # at dim 8 an anisotropic form is "no" only by its Arf obstruction, so
+    # the report's elementary bit is True without a second Arf reduction
+    text = "[1,1] + t*[1,1+1/s] + u*[1,1/s] + t*u*[1,1]"
+    field = "F2((s))((t))((u))"
+    pinned = next(e for e in json.loads(
+        (Path(__file__).parent / "data" / "chow_pinned.json").read_text())
+        if (e["field"], e["form"]) == (field, text))
+    calls = []
+    work = forms.arf_representative
+
+    def counted(phi):
+        calls.append(phi)
+        return work(phi)
+    monkeypatch.setattr(forms, "arf_representative", counted)
+    report = chow2_torsion(form(parse_field(field), text))
+    assert report.rules == ("dim78-not-neighbor",)
+    assert report.to_json() == pinned["chow2"]
+    assert len(calls) == 1
+
+
 def test_chow2_unknown_neighbor_wording_dims_7_8(monkeypatch):
     # the pinned corpus leaves out the exhausted witness search (seconds
     # per form); its wording is checked on a stubbed verdict

@@ -9,7 +9,7 @@ import pytest
 
 from qf2.cli import (COMPUTATIONS, Job, build_parser, main, parse_job,
                      render_text, run_report)
-from qf2 import clifford, fieldtower, forms, pfister
+from qf2 import cli, clifford, fieldtower, forms, pfister
 from qf2.errors import Degenerate, ParseError
 from qf2.fieldtower import parse_field
 from qf2.forms import arf_representative, parse_form
@@ -116,6 +116,30 @@ def test_a_job_decides_each_fact_once(monkeypatch, text, most):
     spy(clifford, "arf_representative")
     run_report(parse_job(f"field F2((s))((t)); {text}"))
     assert all(calls[name] <= n for name, n in most.items()), calls
+
+
+def test_clifford_runner_uses_the_module_bindings(monkeypatch):
+    # bench/tracer.py times the CLI's Clifford layer by wrapping
+    # cli.build_clifford and cli.center_and_idempotents by name
+    seen = []
+
+    def spy(name):
+        work = getattr(cli, name)
+
+        def counted(*args, **kw):
+            seen.append(name)
+            return work(*args, **kw)
+        monkeypatch.setattr(cli, name, counted)
+
+    spy("build_clifford")
+    spy("center_and_idempotents")
+    rep = run_report(parse_job("field F2((t)); form [1,1]+t*[1,1]; "
+                               "run clifford"))
+    assert seen == ["build_clifford", "center_and_idempotents"]
+    out = rep["forms"][0]["clifford"]
+    assert out["algebra_dim"] == 8
+    assert out["center"] == {"dimension": 2, "classification": "split",
+                             "has_idempotent": True}
 
 
 def test_chow2_json_shape():

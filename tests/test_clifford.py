@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,12 +14,13 @@ from qf2.fieldtower import parse_field, render_element
 from qf2.forms import (GramInput, QuadraticForm, arf, block, hyperbolic,
                        hyperbolic_plane, normal_form, orthogonal_sum,
                        parse_form, scale)
-from qf2.clifford import (albert_index, build_clifford,
+from qf2.clifford import (CenterResult, albert_index, build_clifford,
                           center_and_idempotents, even_clifford_class,
                           quaternion_splits, splitting_index)
 from qf2.witt import witt_decompose
 
-from clifford_oracle import _generators, solve_center
+from clifford_oracle import (_generators, check_center_identities,
+                             solve_center, structure_constants)
 from helpers import (K1, K2, K3, random_elem, random_tame_form, random_unit,
                      run_optimized)
 
@@ -40,7 +42,7 @@ def test_full_algebra_dimensions():
 
 def test_one_dimensional_form_algebra():
     phi = form(K1, "<t>")
-    A = build_clifford(phi)
+    A = structure_constants(phi)
     assert A.dim == 2
     # e^2 = t
     sq = A.mul_masks(1, 1)
@@ -60,9 +62,9 @@ def test_tensor_decomposition_small():
     for _ in range(5):
         phi = random_tame_form(K1, rng, 1)
         psi = random_tame_form(K1, rng, rng.choice([1, 2]))
-        big = build_clifford(orthogonal_sum(phi, psi))
-        a = build_clifford(phi)
-        b = build_clifford(psi)
+        big = structure_constants(orthogonal_sum(phi, psi))
+        a = structure_constants(phi)
+        b = structure_constants(psi)
         na = phi.dim
         for m1a in range(1 << na):
             for m1b in range(0, 1 << psi.dim, 3):
@@ -82,8 +84,7 @@ def test_tensor_decomposition_small():
 
 
 # Associativity on sampled triples (every triple for a full algebra with
-# n <= 4) and closure of the even part; this check used to run inside every
-# CliffordAlgebra construction.
+# n <= 4) and closure of the even part, in the tests' structure constants.
 ALGEBRAS = (
     ("F2", "[1,1]", False), ("F2", "[1,1]", True),
     ("F2", "[0,0]+[1,1]", False), ("F2", "[1,1]+<1>", False),
@@ -102,7 +103,8 @@ ALGEBRAS = (
 
 @pytest.mark.parametrize("field,text,even_only", ALGEBRAS)
 def test_algebra_associative_and_graded(field, text, even_only):
-    A = build_clifford(form(parse_field(field), text), even_only=even_only)
+    A = structure_constants(form(parse_field(field), text),
+                            even_only=even_only)
     one = A.K.one()
     rng = random.Random(2)
     masks = A.basis_masks
@@ -122,13 +124,17 @@ def test_algebra_associative_and_graded(field, text, even_only):
 
 # --- center ----------------------------------------------------------------------
 
+def _center_pinned():
+    return json.loads((Path(__file__).parent / "data" /
+                       "center_pinned.json").read_text())
+
+
 def test_center_pinned():
     # tests/data/center_pinned.json was recorded with a linear solve for the
     # centralizer (tests/data/make_center_pinned.py runs the one kept in
     # tests/clifford_oracle.py); the centre read off the form must repeat
     # every field exactly
-    entries = json.loads((Path(__file__).parent / "data" /
-                          "center_pinned.json").read_text())
+    entries = _center_pinned()
     forms = {(e["field"], e["form"]) for e in entries}
     assert ("F2", "[0,0] + [0,0]") in forms
     assert ("F2((t))", "[1,t]+[1,1]+<1,t,t+1>") in forms
@@ -151,11 +157,12 @@ def test_even_part_generators():
     # is anisotropic
     for K, phi in ((F2, hyperbolic(F2, 2)), (K1, form(K1, "[1,t]+<t>")),
                    (K2, form(K2, "[0,0]+[1,1]+s*[1,1]"))):
-        A0 = build_clifford(phi, even_only=True)
+        A0 = structure_constants(phi, even_only=True)
         gens = _generators(A0)
         assert len(gens) == phi.dim - 1
     one = F2.one()
-    assert _generators(build_clifford(hyperbolic(F2, 2), even_only=True)) == \
+    assert _generators(structure_constants(hyperbolic(F2, 2),
+                                           even_only=True)) == \
         [{0b011: one}, {0b101: one, 0b110: one}, {0b1001: one, 0b1010: one}]
 
 
@@ -195,13 +202,44 @@ def test_center_matches_solve_oracle():
     corpus = _center_corpus()
     seen = set()
     for phi, even_only in corpus:
-        A = build_clifford(phi, even_only=even_only)
-        c = center_and_idempotents(A)
-        assert c == solve_center(A), (str(phi), even_only)
+        c = center_and_idempotents(build_clifford(phi, even_only=even_only))
+        assert c == solve_center(structure_constants(phi, even_only)), \
+            (str(phi), even_only)
         seen.add((c.classification, c.idempotent is not None))
     assert len(corpus) >= 40
     assert {(None, False), ("inseparable", False), ("field", False),
             ("unsupported", False), ("split", True)} <= seen
+
+
+def test_center_identities_in_structure_constants():
+    # u^2 + u = delta and (u + z_0)^2 = u + z_0, which center_and_idempotents
+    # reads off the form, multiplied out on every pinned centre and on the
+    # seeded corpus; the description's dimension is the table's
+    pinned = [(form(parse_field(e["field"]), e["form"]), e["even_only"])
+              for e in _center_pinned()]
+    checked = []
+    for phi, even_only in pinned + _center_corpus():
+        A = structure_constants(phi, even_only)
+        B = build_clifford(phi, even_only)
+        assert B.dim == len(A.basis_masks), (str(phi), even_only)
+        checked.append(check_center_identities(A, center_and_idempotents(B)))
+    assert checked.count(1) >= 10 and checked.count(2) >= 10, checked
+
+
+def test_center_identity_check_catches_a_wrong_centre():
+    # the test-side check raises, also under python -O, on a delta that is
+    # not u^2 + u and on an idempotent u + z with z^2 + z != delta
+    phi = form(K1, "[0,0]+[0,0]")
+    A = structure_constants(phi, even_only=True)
+    c = center_and_idempotents(build_clifford(phi, even_only=True))
+    assert check_center_identities(A, c) == 2
+    t = K1.var("t")
+    for wrong, message in (
+            (CenterResult(2, t, "split", None), "u^2 + u is not delta"),
+            (CenterResult(2, c.delta, "split", {**c.idempotent, 0: t}),
+             "idempotent check failed")):
+        with pytest.raises(SoundnessError, match=re.escape(message)):
+            check_center_identities(A, wrong)
 
 
 FORGED_CENTRE = """
@@ -214,8 +252,7 @@ if not sys.flags.optimize:
     sys.exit(2)
 K = parse_field("F2((t))")
 t = K.var("t")
-forged = {"delta": ("arf_representative", lambda phi: t),
-          "root": ("wp_root", lambda delta: t)}
+forged = {"root": ("wp_root", lambda delta: t)}
 name, fake = forged[FORGED]
 setattr(clifford, name, fake)
 A = clifford.build_clifford(parse_form(K, "[0,0]+[0,0]"), even_only=True)
@@ -229,12 +266,10 @@ sys.exit(1)
 
 
 @pytest.mark.parametrize("forged, message", [
-    ("delta", "u^2 + u is not scalar"),
     ("root", "idempotent check failed"),
 ])
 def test_forged_centre_raises_under_O(forged, message):
-    # a delta that is not u^2 + u, and a z_0 with z_0^2 + z_0 != delta, are
-    # caught by the structure constants, also under python -O
+    # a z_0 with z_0^2 + z_0 != delta is caught in K, also under python -O
     proc = run_optimized(f"FORGED = {forged!r}\n" + FORGED_CENTRE)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout.strip() == message
