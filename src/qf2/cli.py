@@ -160,6 +160,9 @@ def parse_job(text: str, defaults: Job = None) -> Job:
 # values (verdicts, reports, forms, classes, witness vectors): run_report
 # keeps them until the form's last runner, so that a later runner reads each
 # fact off the form's memo (forms.form_fact), and then renders them once.
+# The Witt runner's entry also holds the decomposition under _HELD, which
+# run_report drops unrendered.
+_HELD = "decomposition"
 
 def _run_invariants(phi, job):
     out = {"dim": phi.dim, "nonsingular": phi.is_nonsingular,
@@ -184,6 +187,7 @@ def _run_witt(phi, job):
             out["kernel_dim"] = dec.kernel.dim
             out["kernel"] = dec.kernel
             out["exact"] = dec.exact
+            out[_HELD] = dec
         except Undecided as exc:
             out["witt_index"] = None
             out["reason"] = str(exc)
@@ -257,6 +261,7 @@ def run_report(job: Job) -> dict:
                                "detail": str(exc)}
                 bit = True
             undecided = undecided or bit
+        entry.get("witt", {}).pop(_HELD, None)
         forms_out.append(render_json(entry))
     return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
             "field": K.render(), "forms": forms_out,

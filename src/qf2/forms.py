@@ -39,7 +39,8 @@ class QuadraticForm:
     field: FieldDescriptor
     blocks: tuple = ()       # ((a, b), ...) FieldElem pairs
     quasilinear: tuple = ()  # (c, ...) nonzero FieldElems
-    # form_fact's weak references by function name; never pickled
+    # form_fact's weak references, keyed by the fact's function; never
+    # pickled
     _facts: dict = dc_field(init=False, repr=False, compare=False,
                             default_factory=dict)
 
@@ -114,14 +115,15 @@ class QuadraticForm:
 
 def form_fact(fn):
     """Memoize fn(phi) on phi by a weak reference: a value that holds phi
-    makes no cycle and is kept while held.  None and errors are not kept."""
+    makes no cycle and is kept while held.  None and errors are not kept.
+    The key is fn itself, so two facts of the same name never meet."""
     @functools.wraps(fn)
     def memo(phi):
-        value = phi._facts.get(fn.__name__, lambda: None)()
+        value = phi._facts.get(fn, lambda: None)()
         if value is None:
             value = fn(phi)
             if value is not None:
-                phi._facts[fn.__name__] = weakref.ref(value)
+                phi._facts[fn] = weakref.ref(value)
         return value
     return memo
 

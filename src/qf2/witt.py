@@ -555,13 +555,16 @@ def replay_verdict(v: IsotropyVerdict) -> bool:
 # ---------------------------------------------------------------------------
 # Witt decomposition.
 
+@form_fact
 def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
     """Split hyperbolic planes off until the rest is anisotropic.
 
     Raises Undecided when a stage returns Unknown.  Every isotropic verdict
     carries an isotropic block, an explicit witness or a rational plane, so
     each split is an exact change of basis; a verdict with none of them
-    raises SoundnessError."""
+    raises SoundnessError.  The decomposition, kernel included, is reused
+    while something holds it (form_fact), so readers must not change its
+    plane records; Undecided and Degenerate are raised again on every call."""
     if not phi.is_nondegenerate:
         raise Degenerate(len(phi.quasilinear))
     current = phi

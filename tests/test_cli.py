@@ -9,7 +9,7 @@ import pytest
 
 from qf2.cli import (COMPUTATIONS, Job, build_parser, main, parse_job,
                      render_text, run_report)
-from qf2 import cli, clifford, fieldtower, forms, pfister
+from qf2 import cli, clifford, fieldtower, forms, pfister, witt
 from qf2.errors import Degenerate, ParseError
 from qf2.fieldtower import parse_field
 from qf2.forms import arf_representative, parse_form
@@ -91,16 +91,18 @@ def test_invariants_reduce_delta_once(monkeypatch, text, kind):
 
 @pytest.mark.parametrize("text, most", [
     ("form pf(s,t;1); run all",
-     {"_search_witness": 1, "arf_representative": 4}),
+     {"_search_witness": 1, "arf_representative": 4, "witt_decompose": 1}),
     ("form [1,1]+s*[1,1]+<t>; run chow2,pfister",
      {"_search_witness": 1, "_splitting_index_anisotropic": 1,
-      "arf_representative": 2})])
+      "arf_representative": 2}),
+    ("form [0,0]+[1,1]+s*[1,1]; run witt,chow3", {"witt_decompose": 1})])
 def test_a_job_decides_each_fact_once(monkeypatch, text, most):
     # run_report holds each runner's values until the form's last runner,
-    # so the neighbor verdict, the splitting index and the Arf class are
-    # read off the form's memo after their first computation
+    # so the neighbor verdict, the splitting index, the Arf class and the
+    # Witt decomposition are read off the form's memo after their first
+    # computation
     calls = dict.fromkeys(("_search_witness", "_splitting_index_anisotropic",
-                           "arf_representative"), 0)
+                           "arf_representative", "witt_decompose"), 0)
 
     def spy(module, name):
         work = getattr(module, name)
@@ -114,8 +116,36 @@ def test_a_job_decides_each_fact_once(monkeypatch, text, most):
     spy(clifford, "_splitting_index_anisotropic")
     spy(forms, "arf_representative")
     spy(clifford, "arf_representative")
-    run_report(parse_job(f"field F2((s))((t)); {text}"))
+    # each decomposition of phi, not a memo hit, starts by deciding phi
+    # through the binding in qf2.witt; no other caller decides phi there
+    job = parse_job(f"field F2((s))((t)); {text}")
+    phi = parse_form(parse_field(job.field_text), job.form_texts[0])
+    decide = witt.decide_isotropy
+
+    def deciding(psi):
+        calls["witt_decompose"] += psi == phi
+        return decide(psi)
+    monkeypatch.setattr(witt, "decide_isotropy", deciding)
+    run_report(job)
     assert all(calls[name] <= n for name, n in most.items()), calls
+    assert calls["witt_decompose"] >= 1
+
+
+@pytest.mark.parametrize("text", [
+    "[0,0]+[1,1]+s*[1,1]", "[1,1]+[1,1]+[s,t]",
+    "[s^2*t+s,1/s] + [(s^2+s)*t,(t+1/s)/t] + [s,1/s]"])
+def test_runners_leave_the_held_decomposition_as_it_was(text):
+    # the runners share one decomposition through the memo, and its plane
+    # records are dicts: reading them must not change them
+    job = parse_job(f"field F2((s))((t)); form {text}; run all")
+    phi = parse_form(parse_field(job.field_text), text)
+    dec = witt.witt_decompose(phi)
+    before = dec.to_json()
+    assert dec.planes
+    for comp in ("clifford", "pfister", "chow2", "chow3"):
+        cli._RUNNERS[comp](phi, job)
+    assert witt.witt_decompose(phi) is dec
+    assert dec.to_json() == before
 
 
 def test_clifford_runner_uses_the_module_bindings(monkeypatch):

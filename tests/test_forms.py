@@ -10,10 +10,11 @@ from qf2.errors import (Degenerate, DegreeOverflow, OddDimension, QF2Error,
                         Undecided)
 from qf2.fieldtower import parse_field, render_element, wp_reduce
 from qf2.forms import (GramInput, QuadraticForm, arf, arf_representative,
-                       discriminant_algebra, hyperbolic, hyperbolic_plane,
-                       isometric, normal_form, normal_form_trace,
-                       orthogonal_sum, parse_form, render_form, represents,
-                       scale, square_scale_block, subform_test)
+                       discriminant_algebra, form_fact, hyperbolic,
+                       hyperbolic_plane, isometric, normal_form,
+                       normal_form_trace, orthogonal_sum, parse_form,
+                       render_form, represents, scale, square_scale_block,
+                       subform_test)
 
 from helpers import K1, K2, random_elem, random_tame_form
 
@@ -169,6 +170,31 @@ def test_sparse_evaluate_matches_the_dense_loop():
             outcomes["same"] += 1
     assert sum(e.get("error") == "DegreeOverflow" for e in entries) == 8
     assert outcomes == {"same": 486, "dense overflows": 18}
+
+
+# --- form_fact ---------------------------------------------------------------
+
+class _Value:
+    def __init__(self, name):
+        self.name = name
+
+
+def _named_fact(name):
+    def fact(phi):
+        return _Value(name)
+    return form_fact(fact)
+
+
+def test_same_named_facts_keep_their_own_values():
+    # two facts whose functions share a __name__, as a wrapper made with
+    # functools.wraps does, are two memo entries on one form
+    phi = form(K1, "[1,1]+[1,t]")
+    first, second = _named_fact("first"), _named_fact("second")
+    assert first.__name__ == second.__name__
+    held = first(phi), second(phi)
+    assert [v.name for v in held] == ["first", "second"]
+    assert first(phi) is held[0] and second(phi) is held[1]
+    assert len(phi._facts) == 2
 
 
 # --- arf ---------------------------------------------------------------------

@@ -155,7 +155,8 @@ def test_memo_keeps_neither_none_nor_errors():
 @pytest.mark.parametrize("fact, module, worker", [
     (arf, forms, "wp_reduce"),
     (splitting_index, clifford, "witt_decompose"),
-    (pfister.neighbor, pfister, "neighbor_dim6")])
+    (pfister.neighbor, pfister, "neighbor_dim6"),
+    (witt_decompose, witt, "decide_isotropy")])
 def test_form_facts_are_weak(monkeypatch, fact, module, worker):
     # reused while held, freed and computed again once dropped; an error is
     # raised again on every call
