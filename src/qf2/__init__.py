@@ -1,6 +1,6 @@
 """Quadratic forms in characteristic 2 over Laurent-series towers.
 
-Exact field arithmetic (fieldtower), block normal forms and invariants
+Exact field arithmetic (_kernel, fieldtower), block normal forms and invariants
 (forms), the Witt/isotropy engine (witt), Clifford-algebra invariants
 (clifford), Pfister-neighbor tests (pfister), and the Chow-torsion oracle
 for projective quadrics (chow).  `qf2.cli` is the command-line front end.

@@ -25,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ._kernel import (base_field_mul, base_sqrt, base_wp_solve,
+                      polynomial_denominator, polynomial_terms, principal_root)
 from ._linalg import row_dependency
 from .errors import (BudgetExceeded, Degenerate, NotNormalizable,
                      SoundnessError, Undecided)
-from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem, _gf,
-                         _principal_root, frobenius_components,
-                         render_json, unit_residue, valuation_split,
-                         wp_member, wp_reduce)
+from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem,
+                         frobenius_components, render_json, unit_residue,
+                         valuation_split, wp_member, wp_reduce)
 from .forms import (GramInput, QuadraticForm, _axpy, _plus, form_fact,
                     normal_form)
 
@@ -110,14 +111,13 @@ class ResiduePair:
 
 def _finite_witness_binary(K, a, b):
     """Nonzero zero of [a,b] over F_q, or None (exists iff trace(a*b) = 0)."""
-    gf = _gf(K.base_exponent)
     if a.is_zero():
         return (K.one(), K.zero())
-    z = gf.wp_solve(gf.mul(a.data, b.data))
+    z = base_wp_solve(a, b)
     if z is None:
         return None
     # multiply a*x^2 + x*y + b*y^2 = 0 (y=1) by a: (ax)^2 + ax + ab = 0
-    r = FieldElem(K, z) / a
+    r = z / a
     return (r, K.one())
 
 
@@ -125,8 +125,7 @@ def _finite_solve_value(K, a, b, c):
     """(0, y) with [a,b](0, y) = b*y^2 = c over F_q, for b != 0 (as in every
     anisotropic block): squaring is bijective on a finite field of
     characteristic 2, so y = sqrt(c/b) is the only choice with x = 0."""
-    y = _gf(K.base_exponent).sqrt_exact((c / b).data)
-    return K.zero(), FieldElem(K, y)
+    return K.zero(), base_sqrt(c / b)
 
 
 def _finite_decide(phi: QuadraticForm) -> IsotropyVerdict:
@@ -142,8 +141,7 @@ def _finite_decide(phi: QuadraticForm) -> IsotropyVerdict:
                                        {"kind": "finite-block", "block": i})
     if len(phi.quasilinear) >= 2:
         c1, c2 = phi.quasilinear[0], phi.quasilinear[1]
-        gf = _gf(K.base_exponent)
-        r = FieldElem(K, gf.sqrt_exact((c2 / c1).data))
+        r = base_sqrt(c2 / c1)
         vec = [zero] * n
         base = 2 * len(phi.blocks)
         vec[base], vec[base + 1] = r, one
@@ -244,7 +242,7 @@ def _normalize_block(K, t, i, a, b):
             raise NotNormalizable(f"block {i}: isotropic (product in wp)")
         if cls.wild:
             raise NotNormalizable(f"block {i}: wild class at {K.top_variable}")
-        _, _, z = _principal_root(w)
+        _, _, z = principal_root(w)
         s = z / a
         b = (w + z * z + z) / a
     va, _ = valuation_split(a)
@@ -750,33 +748,6 @@ def _pool_element(K: FieldDescriptor, entry) -> FieldElem:
     return x
 
 
-def _denominator(x: FieldElem) -> FieldElem:
-    """A nonzero polynomial d in the tower variables with d*x a polynomial."""
-    K = x.field
-    if K.level == 0:
-        return K.one()
-    lower = K.lower()
-    num, den = x.data
-    clear = lower.one()
-    for c in num + den:
-        clear = clear * _denominator(clear * FieldElem(lower, c))
-    # clear * den(t_n): every coefficient clear*c is a polynomial
-    return clear.lift_to(K) * FieldElem(K, (den, (lower.one().data,)))
-
-
-def _terms(x: FieldElem) -> dict:
-    """{exponents (t1 first): constant bits} of a polynomial element."""
-    def rec(data, level):
-        if level == 0:
-            return {(): data} if data else {}
-        out = {}
-        for i, c in enumerate(data[0]):
-            for m, bits in rec(c, level - 1).items():
-                out[m + (i,)] = bits
-        return out
-    return rec(x.data, x.field.level)
-
-
 def _pack(terms: dict, e: int, steps) -> int:
     """Kronecker packing: the e bits of the coefficient of t^m sit at bit
     e * sum(m_i * steps_i).  Addition of packed ints is XOR, and shifting
@@ -835,10 +806,10 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
     coeffs = [x for blk in phi.blocks for x in blk] + list(phi.quasilinear)
     D = K.one()
     for x in coeffs:
-        D = D * _denominator(D * x)
-    gf = _gf(e)
+        D = D * polynomial_denominator(D * x)
+    mul = base_field_mul(e)
     consts = range(1 << e)
-    polys = [_terms(D * x) for x in coeffs] + [_terms(D)]
+    polys = [polynomial_terms(y) for y in [D * x for x in coeffs] + [D]]
     # slot widths: a product term has degree <= deg(poly) + 2 * per_var
     per_var = max(1, (degree_bound + 1) // 2)
     steps, step = [], 1
@@ -847,11 +818,11 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
         step *= 2 * per_var + 1 + max((m[k] for poly in polys for m in poly),
                                       default=0)
     # packed[i][c]: the i-th polynomial times the constant c
-    packed = [[_pack({m: gf.mul(c, bits) for m, bits in poly.items()},
+    packed = [[_pack({m: mul(c, bits) for m, bits in poly.items()},
                      e, steps) for c in consts] for poly in polys]
     shifts = [e * sum(k * s for k, s in zip(mono, steps)) if c else 0
               for c, mono in pool]
-    sq = [gf.square(c) for c, _mono in pool]
+    sq = [mul(c, c) for c, _mono in pool]
     D_packed = packed[-1]
 
     def group_values(group):
@@ -862,7 +833,7 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
             ax2 = [pa[q] << 2 * s for q, s in zip(sq, shifts)]
             by2 = [pb[q] << 2 * s for q, s in zip(sq, shifts)]
             return [ax2[ix] ^ by2[iy] ^
-                    (D_packed[gf.mul(cx, cy)] << (shifts[ix] + shifts[iy]))
+                    (D_packed[mul(cx, cy)] << (shifts[ix] + shifts[iy]))
                     for ix, (cx, _mx) in enumerate(pool)
                     for iy, (cy, _my) in enumerate(pool)]
         pc = packed[base + idx]

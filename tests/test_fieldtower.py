@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qf2 import fieldtower
+from qf2 import _kernel
 from qf2.errors import DegreeOverflow, FieldMismatch, ZeroElement
 from qf2.fieldtower import (FieldDescriptor, frobenius_components, is_square,
                             parse_element, parse_field, quad_extend,
@@ -211,15 +211,15 @@ def test_wp_even_pole_square_coefficient_cascades():
 
 PATCHED_PREFIX = """
 import sys
-from qf2 import fieldtower
+from qf2 import _kernel, fieldtower
 from qf2.errors import SoundnessError
 if not sys.flags.optimize:
     sys.exit(2)
 K = fieldtower.parse_field("F2((t))")
-prefix = fieldtower._series_prefix
+prefix = _kernel._series_prefix
 # keep only the leading coefficient: the discarded tail is the constant 1
-fieldtower._series_prefix = lambda x, upto: (prefix(x, upto)[0],
-                                             prefix(x, upto)[1][:1])
+_kernel._series_prefix = lambda x, upto: (prefix(x, upto)[0],
+                                          prefix(x, upto)[1][:1])
 try:
     fieldtower.wp_reduce(K.element("t^-1 + 1"))
 except SoundnessError:
@@ -440,8 +440,8 @@ def packed_level_mismatches(seed, rounds):
     such polynomials cross the degree cap, so the overflow points are
     compared too.  Returns [] when the two agree.
     """
-    generic = fieldtower._FracOps(fieldtower._gf(1))
-    packed = fieldtower._ops_key(1, 1)
+    generic = _kernel._FracOps(_kernel._gf(1))
+    packed = _kernel._ops_key(1, 1)
     rng = random.Random(seed)
 
     def poly(nonzero=False):
@@ -479,8 +479,8 @@ def test_packed_level_matches_generic():
 
 
 def test_packed_level_cap_boundary():
-    generic = fieldtower._FracOps(fieldtower._gf(1))
-    packed = fieldtower._ops_key(1, 1)
+    generic = _kernel._FracOps(_kernel._gf(1))
+    packed = _kernel._ops_key(1, 1)
     ones32, ones33 = (1,) * 33, (1,) * 34   # degree 32: 33 pairs at t^32
     assert packed.pmul(ones32, ones32) == generic.pmul(ones32, ones32)
     assert len(packed.pmul(ones32, ones32)) == 65       # degree 64
@@ -518,7 +518,7 @@ CARRY_GUARD = """
 import sys
 import types
 from pathlib import Path
-import qf2.fieldtower as ft
+import qf2._kernel as ft
 from qf2.errors import SoundnessError
 if not sys.flags.optimize:
     sys.exit(2)
@@ -527,7 +527,7 @@ if "DEFAULT_DEGREE_CAP = 64\\n" not in source:
     sys.exit(4)
 
 def load(cap):
-    mod = types.ModuleType("qf2.fieldtower_probe")
+    mod = types.ModuleType("qf2._kernel_probe")
     mod.__package__ = "qf2"
     sys.modules[mod.__name__] = mod
     code = source.replace("DEFAULT_DEGREE_CAP = 64\\n",
@@ -585,7 +585,7 @@ def test_descriptor_pickles_without_its_ops(K):
     assert b"Ops" not in data and b"GF2e" not in data
     back = pickle.loads(data)
     assert back == K and hash(back) == hash(K) and repr(back) == repr(K)
-    assert back._ops is fieldtower._ops_key(K.base_exponent, K.level)
+    assert back._ops is _kernel._ops_key(K.base_exponent, K.level)
     assert back.one() + back.one() == K.zero()
 
 
@@ -619,8 +619,8 @@ def test_equal_descriptors_built_apart_still_meet():
 def scan_embedding_table(e, e2):
     """The embedding table by scanning F_{2^e2} for the least root of
     modulus(e), element by element."""
-    big = fieldtower._gf(e2)
-    mod = fieldtower._modulus(e)
+    big = _kernel._gf(e2)
+    mod = _kernel._modulus(e)
     for rho in range(big.q):
         acc, val = 1, 0
         for i in range(e + 1):
@@ -640,14 +640,14 @@ def trial_division_modulus(e):
     """The least irreducible of degree e: the first candidate that no
     polynomial of degree 1..e//2 divides."""
     for f in range(1 << e, 1 << (e + 1)):
-        if all(fieldtower._poly2_rem(f, d)
+        if all(_kernel._poly2_rem(f, d)
                for d in range(2, 1 << (e // 2 + 1))):
             return f
 
 
 def test_modulus_matches_trial_division():
     for e in range(1, 21):
-        assert fieldtower._modulus.__wrapped__(e) == \
+        assert _kernel._modulus.__wrapped__(e) == \
             trial_division_modulus(e), e
 
 
@@ -669,7 +669,7 @@ def test_embedding_table_matches_scan():
              if e2 % e == 0]
     assert len(pairs) == 27
     for e, e2 in pairs:
-        assert fieldtower._embedding_table(e, e2) == \
+        assert _kernel._embedding_table(e, e2) == \
             scan_embedding_table(e, e2), (e, e2)
 
 
@@ -678,7 +678,7 @@ def test_discriminant_algebra_over_F2_12_is_fast():
     from time import perf_counter
     from qf2.forms import discriminant_algebra, parse_form
     K = parse_field("F2^12((t))")
-    x = fieldtower._canonical_trace_one(12)
+    x = _kernel._canonical_trace_one(12)
     t0 = perf_counter()
     disc = discriminant_algebra(parse_form(K, f"[1,{x}]"))
     assert perf_counter() - t0 < 2.0
@@ -693,18 +693,18 @@ def test_discriminant_algebra_over_F2_12_is_fast():
 
 def test_canonical_trace_one_matches_scan():
     for e in range(1, 17):
-        gf = fieldtower._gf(e)
+        gf = _kernel._gf(e)
         scan = next(x for x in range(1, gf.q) if gf.trace(x) == 1)
-        assert fieldtower._canonical_trace_one(e) == scan, e
-    assert fieldtower._canonical_trace_one(20) == 1 << 17
-    assert fieldtower._canonical_trace_one(24) == 1 << 21
+        assert _kernel._canonical_trace_one(e) == scan, e
+    assert _kernel._canonical_trace_one(20) == 1 << 17
+    assert _kernel._canonical_trace_one(24) == 1 << 21
 
 
 def test_wp_solve_exhaustive():
     # the root with bit 0 clear, the one the bit elimination's free column
     # picked; None exactly on trace 1
     for e in range(1, 11):
-        gf = fieldtower._gf(e)
+        gf = _kernel._gf(e)
         for c in range(gf.q):
             z = gf.wp_solve(c)
             if gf.trace(c):
@@ -719,7 +719,7 @@ def test_wp_class_representative_over_F2_20_is_fast():
     from qf2.forms import parse_form
     from qf2.witt import decide_isotropy
     K = parse_field("F2^20((t))")
-    fieldtower._canonical_trace_one.cache_clear()
+    _kernel._canonical_trace_one.cache_clear()
     t0 = perf_counter()
     v = decide_isotropy(parse_form(K, f"[1,t^-2+t^-1+{1 << 17}]+<t>"))
     assert perf_counter() - t0 < 2.0
