@@ -171,12 +171,9 @@ def chow2_torsion(phi: QuadraticForm) -> ChowReport:
         return _exact(2, phi, 1, False, ["dim6-albert-torsion-free"],
                       image=anisotropic_image_row(4, 2, arf_zero=True),
                       certificates=cert)
-    # held first, so that neighbor_dim5 reads the index off the memo
-    sres = splitting_index(phi) if dim == 5 else None
-    nv = neighbor(phi)
-    cert["neighbor"] = nv
-    if sres is not None:
-        cert["splitting_index"] = sres
+    nv = cert["neighbor"] = neighbor(phi)
+    if dim == 5:
+        cert["splitting_index"] = splitting_index(phi)
     prefix, unknown = _NEIGHBOR_RULES[dim]
     if nv.status == "yes":
         return _exact(2, phi, 2, False, [f"{prefix}-pfister-neighbor"],
@@ -230,7 +227,6 @@ def chow3_torsion(phi: QuadraticForm) -> ChowReport:
         return _atmost(3, phi, rules, sub.assumptions,
                        {"reduced_to": sub})
     cert = {"anisotropy": verdict}
-    # held for the whole report, so splitting_index reads it off the memo
     disc = discriminant_algebra(phi) if phi.is_nonsingular else None
     arf_zero = disc is not None and disc.kind == "split"
     if dim == 6:
@@ -329,8 +325,6 @@ def isotropic_reduce(phi: QuadraticForm, p: int, strips: Optional[int] = None):
         current_dim -= 2
         p -= 1
         done += 1
-        if p == 0:
-            break
     kernel = dec.kernel
     left = iw - done
     psi = orthogonal_sum(hyperbolic(phi.field, left), kernel) if left \

@@ -156,13 +156,9 @@ def parse_job(text: str, defaults: Job = None) -> Job:
 
 
 # Each runner(phi, job) returns (entry, undecided).  The entry holds exact
-# values (verdicts, reports, forms, classes, witness vectors): run_report
-# keeps them until the form's last runner, so that a later runner reads each
-# fact off the form's memo (forms.form_fact), and then renders them once.
-# The Witt runner's entry also holds the decomposition under _HELD, which
-# run_report drops unrendered.
-_HELD = "decomposition"
-
+# values (verdicts, reports, forms, classes, witness vectors); a later runner
+# reads each fact off the form's memo (forms.form_fact), and run_report
+# renders the entry once, after the form's last runner.
 def _run_invariants(phi, job):
     out = {"dim": phi.dim, "nonsingular": phi.is_nonsingular,
            "nondegenerate": phi.is_nondegenerate}
@@ -186,7 +182,6 @@ def _run_witt(phi, job):
             out["kernel_dim"] = dec.kernel.dim
             out["kernel"] = dec.kernel
             out["exact"] = True
-            out[_HELD] = dec
         except Undecided as exc:
             out["witt_index"] = None
             out["reason"] = str(exc)
@@ -259,7 +254,6 @@ def run_report(job: Job) -> dict:
                                "detail": str(exc)}
                 bit = True
             undecided = undecided or bit
-        entry.get("witt", {}).pop(_HELD, None)
         forms_out.append(render_json(entry))
     return {"schema_version": SCHEMA_VERSION, "job": job.to_json(),
             "field": K.render(), "forms": forms_out,

@@ -17,7 +17,7 @@ biquaternion Albert forms.  Anything beyond that returns an honest interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotAlbert, OddDimension, SoundnessError, Undecided
@@ -25,8 +25,7 @@ from .fieldtower import (ExtensionResult, FieldElem, is_square, quad_extend,
                          render_json, wp_member, wp_root)
 from .forms import (QuadraticForm, arf, arf_representative,
                     discriminant_algebra, form_fact, orthogonal_sum, scale)
-from .witt import (WittDecomposition, decide_isotropy, witt_decompose,
-                   witt_index_over_ext)
+from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 
 __all__ = [
     "CliffordAlgebra", "AlgebraClassDescriptor", "SplittingIndexResult",
@@ -300,19 +299,13 @@ def even_clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:
 
 @dataclass(frozen=True)
 class SplittingIndexResult:
-    """s(phi) and ind(phi) with s + log2(ind) = [(dim-1)/2] when resolved.
-
-    decomposition is the Witt decomposition of phi that the index was read
-    from (None when there is none): while the result is held, so is the
-    decomposition on phi's memo.  It is not compared and not rendered."""
+    """s(phi) and ind(phi) with s + log2(ind) = [(dim-1)/2] when resolved."""
 
     dim: int
     s: Optional[int]
     ind_low: int
     ind_high: int
     rule: str
-    decomposition: Optional[WittDecomposition] = field(
-        default=None, compare=False, repr=False)
 
     @property
     def resolved(self) -> bool:
@@ -364,12 +357,11 @@ def splitting_index(phi: QuadraticForm) -> SplittingIndexResult:
     iw = dec.witt_index
     kernel = dec.kernel
     if kernel.dim == 0:
-        return SplittingIndexResult(dim, iw - 1, 1, 1, "hyperbolic", dec)
+        return SplittingIndexResult(dim, iw - 1, 1, 1, "hyperbolic")
     kres = _splitting_index_anisotropic(kernel)
     return SplittingIndexResult(dim, kres.s + iw if kres.resolved else None,
                                 kres.ind_low, kres.ind_high,
-                                kres.rule + (f"+strip{iw}" if iw else ""),
-                                dec)
+                                kres.rule + (f"+strip{iw}" if iw else ""))
 
 
 def _splitting_index_anisotropic(phi: QuadraticForm) -> SplittingIndexResult:

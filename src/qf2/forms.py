@@ -12,7 +12,6 @@ with a zero entry are hyperbolic and get normalized to [0,0] eagerly.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
@@ -39,8 +38,7 @@ class QuadraticForm:
     field: FieldDescriptor
     blocks: tuple = ()       # ((a, b), ...) FieldElem pairs
     quasilinear: tuple = ()  # (c, ...) nonzero FieldElems
-    # form_fact's weak references, keyed by the fact's function; never
-    # pickled
+    # form_fact's values, keyed by the fact's function; never pickled
     _facts: dict = dc_field(init=False, repr=False, compare=False,
                             default_factory=dict)
 
@@ -114,16 +112,16 @@ class QuadraticForm:
 
 
 def form_fact(fn):
-    """Memoize fn(phi) on phi by a weak reference: a value that holds phi
-    makes no cycle and is kept while held.  None and errors are not kept.
-    The key is fn itself, so two facts of the same name never meet."""
+    """Memoize fn(phi) on phi for as long as phi lives: the value is freed
+    with the form.  None and errors are not kept.  The key is fn itself, so
+    two facts of the same name never meet."""
     @functools.wraps(fn)
     def memo(phi):
-        value = phi._facts.get(fn, lambda: None)()
+        value = phi._facts.get(fn)
         if value is None:
             value = fn(phi)
             if value is not None:
-                phi._facts[fn] = weakref.ref(value)
+                phi._facts[fn] = value
         return value
     return memo
 

@@ -374,7 +374,7 @@ def springer_residues(phi: QuadraticForm) -> ResiduePair:
 @form_fact
 def decide_isotropy(phi: QuadraticForm) -> IsotropyVerdict:
     """Decide whether phi has a nontrivial zero over its Laurent tower.  The
-    verdict is reused while something holds it (form_fact)."""
+    verdict is kept on phi for as long as phi lives (form_fact)."""
     K = phi.field
     n = phi.dim
     zero, one = K.zero(), K.one()
@@ -559,8 +559,8 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
     Raises Undecided when a stage returns Unknown.  Every isotropic verdict
     carries an isotropic block, an explicit witness or a rational plane, so
     each split is an exact change of basis; a verdict with none of them
-    raises SoundnessError.  The decomposition, kernel included, is reused
-    while something holds it (form_fact), so readers must not change its
+    raises SoundnessError.  The decomposition, kernel included, is kept on
+    phi for as long as phi lives (form_fact), so readers must not change its
     plane records; Undecided and Degenerate are raised again on every call."""
     if not phi.is_nondegenerate:
         raise Degenerate(len(phi.quasilinear))

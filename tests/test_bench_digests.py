@@ -3,11 +3,12 @@
 For `kernel` and `engine`, the cycles of a traced run (`fixed_cycles`) are
 run in this process: the digest of their summaries must equal the one in
 bench/digests.json, no item may fail, and the self-test's planted wrong
-answer must be flagged.  A qf2 name that the benchmark imports going
-missing, or an exception in its set-up, self-test, summaries or verdicts,
-fails here rather than only as a failed benchmark run.  bench/worker.py is
-imported from its file, with bench/ on the path and without writing
-bytecode next to it.
+answer must be flagged.  For `cli`, the batch jobs run serially through
+`run_report`, and the digest of that JSON document must equal the recorded
+one.  A qf2 name that the benchmark imports going missing, or an exception
+in its set-up, self-test, summaries or verdicts, fails here rather than only
+as a failed benchmark run.  bench/worker.py is imported from its file, with
+bench/ on the path and without writing bytecode next to it.
 """
 
 import importlib.util
@@ -35,8 +36,12 @@ def worker():
     return module
 
 
-@pytest.mark.parametrize("workload", ["kernel", "engine"])
+@pytest.mark.parametrize("workload", ["kernel", "engine", "cli"])
 def test_fixed_cycles_match_recorded_digest(worker, workload):
+    if workload == "cli":
+        output = worker.reference_output(worker.corpus.cli_jobs(1))
+        assert worker.digest([output]) == worker.expected_digest("cli", 1)
+        return
     acc = worker.fixed_cycles(workload, 1)
     assert worker.digest(acc.summaries) == worker.expected_digest(workload, 1)
     assert acc.failed == 0, acc.bad

@@ -333,7 +333,7 @@ def test_chow3_rules_at_dims_9_to_12(text, rule, report):
 
 def test_chow3_reduces_delta_once(monkeypatch):
     # arf_zero, the splitting index and the hyperbolic-over-disc rule all
-    # read the one discriminant algebra the report holds
+    # read the one discriminant algebra on phi's memo
     text, _rule, report = CHOW3_DIM9_12[0]
     phi = form(K3, text)
     calls = []

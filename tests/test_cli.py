@@ -100,10 +100,9 @@ def test_invariants_reduce_delta_once(monkeypatch, text, kind):
     ("form [1,1]+[1,1]+[s,t]; run clifford,chow2,chow3",
      {"witt_decompose": 1})])
 def test_a_job_decides_each_fact_once(monkeypatch, text, most):
-    # run_report holds each runner's values until the form's last runner,
-    # so the neighbor verdict, the splitting index, the Arf class and the
-    # Witt decomposition are read off the form's memo after their first
-    # computation; the splitting index holds the decomposition it read
+    # the neighbor verdict, the splitting index, the Arf class and the Witt
+    # decomposition are read off the form's memo after their first
+    # computation
     calls = dict.fromkeys(("_search_witness", "_splitting_index_anisotropic",
                            "arf_representative", "witt_decompose"), 0)
 

@@ -551,18 +551,6 @@ def test_two_division_symbols_go_to_the_albert_form(monkeypatch):
         albert_index(q)
 
 
-def test_splitting_index_holds_its_decomposition():
-    # while the result is held, so is the decomposition on phi's memo; it
-    # takes no part in equality or in the JSON
-    phi = form(K2, "[0,0]+[1,1]+s*[1,1]")
-    res = splitting_index(phi)
-    assert res.decomposition is witt_decompose(phi)
-    assert res.decomposition.witt_index == 1
-    assert res == clifford.SplittingIndexResult(6, 1, 2, 2, res.rule)
-    assert "decomposition" not in res.to_json()
-    assert "decomposition" not in repr(res)
-
-
 def test_full_algebra_of_binary_is_central_simple():
     # C([1,a]) is central simple: centralizer has dimension 1
     for text, K in (("[1,1]", F2), ("[1,t]", K1), ("[1,1]", K1)):

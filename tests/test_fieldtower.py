@@ -591,7 +591,7 @@ def test_descriptor_pickles_without_its_ops(K):
 
 def test_form_pickles_without_its_facts():
     phi = parse_form(K2, "[1,1]+t*[1,1]+<t>")
-    v = decide_isotropy(phi)     # held, so phi keeps a weak reference to it
+    v = decide_isotropy(phi)     # kept in phi's memo
     data = pickle.dumps(phi)
     assert b"_facts" not in data
     back = pickle.loads(data)

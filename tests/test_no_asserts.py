@@ -1,7 +1,8 @@
 """No `assert` statement in the package: `python -O` strips them, so a
 soundness check written as one would vanish.  Checks raise SoundnessError,
 not AssertionError, and no module keeps mutable state behind `global`.
-Only the field kernel reads an element's representation."""
+Only the field kernel reads an element's representation, and only forms.py
+touches a form's memo."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,18 @@ def _reads_representation(node):
 
 def test_only_the_kernel_reads_the_representation():
     assert _find(_reads_representation, skip=("_kernel.py",)) == []
+
+
+def _touches_the_memo(node):
+    """A form's memo (`._facts`) or a weak reference (`import weakref`)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_facts"
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[0] == "weakref"
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "weakref"
+    return False
+
+
+def test_only_forms_touches_the_memo():
+    assert _find(_touches_the_memo, skip=("forms.py",)) == []

@@ -89,8 +89,8 @@ def test_isotropic_first_residue_is_lifted_past_an_unknown_second():
 
 
 def test_replay_decides_a_tampered_verdict_again():
-    # v is still held, so the memo of decide_isotropy(v.form) is v itself;
-    # the replay must run the engine, which finds the form isotropic
+    # the memo of decide_isotropy(v.form) is v itself, so the replay must
+    # run the engine, which finds the form isotropic
     v = decide_isotropy(form(K2, "[1,1]+t*[1,1]+<t>"))
     assert v.certificate["kind"] == "lifted-witness"
     for name, value in (("kind", "anisotropic"), ("witness", None),
@@ -112,25 +112,26 @@ def test_verdict_is_reused_while_held():
 
 
 def test_dropped_verdict_is_freed_and_decided_again(monkeypatch):
-    phi = form(K1, "[1,1]+t*[1,1]")
-    gc.disable()
-    try:
-        v = decide_isotropy(phi)
-        ref = weakref.ref(v)
-        del v
-        # freed by its reference count alone: the memo made no cycle
-        assert ref() is None
-    finally:
-        gc.enable()
+    # the verdict lives as long as its form: dropped with the form, it is
+    # freed, and an equal form built afresh is decided again
     layouts = []
     residue_layout = witt._residue_layout
 
     def spy(psi):
-        layouts.append(psi)
+        layouts.append(str(psi))    # not psi: the spy must not hold phi
         return residue_layout(psi)
     monkeypatch.setattr(witt, "_residue_layout", spy)
-    assert decide_isotropy(phi).is_anisotropic
-    assert layouts == [phi]
+    phi = form(K1, "[1,1]+t*[1,1]")
+    v = decide_isotropy(phi)
+    ref = weakref.ref(v)
+    del v
+    assert decide_isotropy(phi) is ref() and layouts == [str(phi)]
+    del phi
+    gc.collect()
+    assert ref() is None
+    twin = form(K1, "[1,1]+t*[1,1]")
+    assert decide_isotropy(twin).is_anisotropic
+    assert layouts == [str(twin)] * 2
 
 
 def test_memo_keeps_neither_none_nor_errors():
@@ -157,29 +158,27 @@ def test_memo_keeps_neither_none_nor_errors():
     (splitting_index, clifford, "witt_decompose"),
     (pfister.neighbor, pfister, "neighbor_dim6"),
     (witt_decompose, witt, "decide_isotropy")])
-def test_form_facts_are_weak(monkeypatch, fact, module, worker):
-    # reused while held, freed and computed again once dropped; an error is
-    # raised again on every call
+def test_form_facts_live_as_long_as_their_form(monkeypatch, fact, module,
+                                               worker):
+    # computed once per form object, even after the value is dropped; form
+    # and facts are freed together; an error is raised again on every call
     calls = []
     work = getattr(module, worker)
 
     def spy(*args):
-        calls.append(args)
+        calls.append(None)    # not args: the spy must not hold phi
         return work(*args)
     monkeypatch.setattr(module, worker, spy)
     phi = form(K1, "[0,0]+[1,1]+[1,t]")
-    gc.disable()
-    try:
-        value = fact(phi)
-        once = len(calls)
-        assert once >= 1 and fact(phi) is value and len(calls) == once
-        ref = weakref.ref(value)
-        del value
-        assert ref() is None
-    finally:
-        gc.enable()
-    fact(phi)
-    assert len(calls) == 2 * once
+    value = fact(phi)
+    once = len(calls)
+    assert once >= 1 and fact(phi) is value and len(calls) == once
+    value_ref, form_ref = weakref.ref(value), weakref.ref(phi)
+    del value
+    assert fact(phi) is value_ref() and len(calls) == once
+    del phi
+    gc.collect()
+    assert form_ref() is None and value_ref() is None
     degenerate = form(K1, "[0,0]+[1,1]+<1,t>")
     for _ in range(2):
         with pytest.raises(QF2Error):
