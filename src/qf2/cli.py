@@ -24,7 +24,8 @@ from dataclasses import dataclass, field as dc_field
 from .errors import BudgetExceeded, ParseError, QF2Error, Undecided
 from .fieldtower import _linecol, parse_field, render_json
 from .forms import arf, parse_form
-from .witt import brute_force_search, decide_isotropy, witt_decompose
+from .witt import (_search_plan, brute_force_search, decide_isotropy,
+                   witt_decompose)
 from .clifford import (build_clifford, center_and_idempotents,
                        even_clifford_class, splitting_index)
 from .pfister import neighbor
@@ -186,9 +187,17 @@ def _run_witt(phi, job):
             out["witt_index"] = None
             out["reason"] = str(exc)
             undecided = True
+    # An anisotropic form has no nonzero zero, so its search would find
+    # nothing: only its budget test runs, and the entry reads as the
+    # search's would.  The skip lives here because the search itself must
+    # never consult the engine that it audits.
     try:
-        out["search_witness"] = brute_force_search(phi, job.degree_bound,
-                                                   budget=job.budget)
+        if verdict.is_anisotropic:
+            _search_plan(phi, job.degree_bound, job.budget)
+            out["search_witness"] = None
+        else:
+            out["search_witness"] = brute_force_search(
+                phi, job.degree_bound, budget=job.budget)
     except BudgetExceeded as exc:
         out["search_witness"] = None
         out["search_budget_exhausted"] = str(exc)

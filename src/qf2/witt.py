@@ -759,33 +759,19 @@ def _pack(terms: dict, e: int, steps) -> int:
     return out
 
 
-def brute_force_search(phi: QuadraticForm, degree_bound: int,
-                       budget: int = 200_000):
-    """Search for an exact isotropy witness with small polynomial entries.
-
-    One-sided: a returned vector is a verified zero of phi; returning None
-    proves nothing.  Meet-in-the-middle over a coordinate split respecting
-    block boundaries; the witness minimal in pool-index order is returned,
-    independent of evaluation order.  Raises BudgetExceeded past the node
-    budget.
-
-    The search does no field arithmetic: the form's coefficients are
-    multiplied by one common polynomial denominator D (phi(v) = 0 iff
-    D*phi(v) = 0), the resulting polynomials are packed into ints, and every
-    pool entry c*t^m multiplies them by a constant and a shift.  The witness
-    found is checked through phi.evaluate; a failed check raises
-    SoundnessError."""
+def _search_plan(phi: QuadraticForm, degree_bound: int, budget: int):
+    """The meet-in-the-middle split of brute_force_search: (monomials, pool
+    size p, the two sides), or None when phi has no coordinates.  Raises
+    BudgetExceeded when the two sides together cost more than budget nodes;
+    the pool is counted, never built, so the test is cheap at any e."""
     K = phi.field
-    e = K.base_exponent
     # the pool (0, then c * monomial for each constant c != 0) has p
-    # entries, p growing as 2^e; it is counted here and built only after
-    # the budget test
+    # entries, p growing as 2^e
     monos = _monomials(K, degree_bound)
-    p = 1 + len(monos) * ((1 << e) - 1)
+    p = 1 + len(monos) * ((1 << K.base_exponent) - 1)
     nb = len(phi.blocks)
-    base = 2 * nb
     groups = [("b", i, (2 * i, 2 * i + 1), p * p) for i in range(nb)] + \
-             [("q", j, (base + j,), p)
+             [("q", j, (2 * nb + j,), p)
               for j in range(len(phi.quasilinear))]
     if not groups:
         return None
@@ -798,10 +784,54 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
         cost[side] *= g[3]
     if cost[0] + cost[1] > budget:
         raise BudgetExceeded(f"{cost[0] + cost[1]} nodes")
+    return monos, p, sides
+
+
+def _least_match(left, right):
+    """The least key pair (i, j) != (0, 0) with left[i] == right[j], or None.
+    left gives the left side's values in key order, as consecutive lists,
+    and is read only up to the first list that holds a hit; right is a list.
+    Key 0 of each side has value 0, so i = 0 pairs only with a later zero on
+    the right, and any later i takes the least j of its value."""
+    if right.count(0) > 1:
+        return 0, right.index(0, 1)
+    values = set(right)
+    start = 0
+    for run in left:
+        if not values.isdisjoint(run):
+            for i, v in enumerate(run, start):
+                if i and v in values:
+                    return i, right.index(v)
+        start += len(run)
+    return None
+
+
+def brute_force_search(phi: QuadraticForm, degree_bound: int,
+                       budget: int = 200_000):
+    """Search for an exact isotropy witness with small polynomial entries.
+
+    One-sided: a returned vector is a verified zero of phi; returning None
+    proves nothing.  Meet-in-the-middle over a coordinate split respecting
+    block boundaries; the witness minimal in pool-index order is returned,
+    independent of evaluation order, and the walk over the left side stops
+    there.  Raises BudgetExceeded past the node budget (_search_plan).
+
+    The search does no field arithmetic and reads nothing but phi itself:
+    the form's coefficients are multiplied by one common polynomial
+    denominator D (phi(v) = 0 iff D*phi(v) = 0), the resulting polynomials
+    are packed into ints, and every pool entry c*t^m multiplies them by a
+    constant and a shift.  The witness found is checked through
+    phi.evaluate; a failed check raises SoundnessError."""
+    plan = _search_plan(phi, degree_bound, budget)
+    if plan is None:
+        return None
+    monos, p, sides = plan
+    K = phi.field
+    e = K.base_exponent
+    base = 2 * len(phi.blocks)
     # (constant bits, exponents): 0 as (0, None), then c * monomial in
     # (monomial, constant) order
     pool = [(0, None)] + [(c, m) for m in monos for c in range(1, 1 << e)]
-
     # clear denominators once; D*a, D*b, D*c_j and D are polynomials
     coeffs = [x for blk in phi.blocks for x in blk] + list(phi.quasilinear)
     D = K.one()
@@ -839,31 +869,19 @@ def brute_force_search(phi: QuadraticForm, degree_bound: int,
         pc = packed[base + idx]
         return [pc[q] << 2 * s for q, s in zip(sq, shifts)]
 
-    def side_values(side):
-        # the key of a value is its index: keys concatenate in nested order
+    def side_runs(side):
+        """The side's packed values in key order, one list per key of all
+        its groups but the last: the key of a value is its position, keys
+        concatenating in nested order."""
         acc = [0]
-        for g in side:
+        for g in side[:-1]:
             gv = group_values(g)
             acc = [v0 ^ v1 for v0 in acc for v1 in gv]
-        return acc
+        tail = group_values(side[-1]) if side else [0]
+        return ([v0 ^ v1 for v1 in tail] for v0 in acc)
 
-    # Keys are list indices, ordered like the pool-index tuples they stand
-    # for.  Key 0 of each side is its zero half, of value 0.  The right zero
-    # half needs the least nonzero left key of value 0; any other right key
-    # j takes the least left key i of its value; the witness is the least
-    # (i, j).
-    left = side_values(sides[0])
-    first = dict(zip(reversed(left), range(len(left) - 1, -1, -1)))
-    right = side_values(sides[1])
-    best = None
-    try:
-        best = (left.index(0, 1), 0)
-    except ValueError:
-        pass
-    for j in range(1, len(right)):
-        i = first.get(right[j])
-        if i is not None and (best is None or i < best[0]):
-            best = (i, j)
+    right = [v for run in side_runs(sides[1]) for v in run]
+    best = _least_match(side_runs(sides[0]), right)
     if best is None:
         return None
     # decode the keys and reassemble the witness in form coordinates

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from qf2.errors import BudgetExceeded, Undecided
+from qf2.cli import parse_job
+from qf2.errors import BudgetExceeded, QF2Error, Undecided
 from qf2.fieldtower import parse_field
 from qf2.forms import (QuadraticForm, arf, hyperbolic, hyperbolic_plane,
                        orthogonal_sum, parse_form)
@@ -302,3 +303,28 @@ def test_criterion_10_cli_determinism(tmp_path):
     assert len(doc["jobs"]) == len(BATCH_JOBS)
     print(f"\nPASS criterion 10: {len(BATCH_JOBS)}-job corpus byte-identical "
           f"across reruns, worker counts 1/8 and the golden output")
+
+
+def test_search_audits_the_anisotropic_verdicts_the_cli_skips():
+    """The CLI runs no search on an anisotropic verdict; this keeps the audit
+    it gave up: on a freshly parsed copy of each form of the batch corpus
+    that the engine calls anisotropic, the search finds no zero."""
+    golden = json.loads((Path(__file__).parent / "data" /
+                         "batch_golden.json").read_text())
+    jobs = {(j["job"]["field"], ft) for j in golden["jobs"]
+            for ft in j["job"]["forms"]}
+    jobs |= {(job.field_text, ft) for job in map(parse_job, BATCH_JOBS)
+             for ft in job.form_texts}
+    audited = []
+    for field, text in sorted(jobs):
+        K = parse_field(field)
+        try:
+            verdict = decide_isotropy(parse_form(K, text))
+        except QF2Error:
+            continue
+        if verdict.is_anisotropic:
+            assert brute_force_search(parse_form(K, text), 6) is None, text
+            audited.append(text)
+    assert len(audited) == 5, audited
+    print(f"\nPASS: the search finds no zero of the {len(audited)} "
+          f"anisotropic batch forms")

@@ -4,6 +4,7 @@ import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,55 @@ def test_witt_report_content():
     rep = run_report(job)
     w = rep["forms"][0]["witt"]
     assert w["witt_index"] == 3 and w["kernel_dim"] == 0
+
+
+GOLDEN = Path(__file__).parent / "data" / "batch_golden.json"
+
+
+def _spy_search(monkeypatch):
+    """Record each form that the CLI hands to the brute-force search."""
+    searched = []
+    search = cli.brute_force_search
+
+    def spy(phi, *args, **kwargs):
+        searched.append(phi)
+        return search(phi, *args, **kwargs)
+    monkeypatch.setattr(cli, "brute_force_search", spy)
+    return searched
+
+
+def test_no_anisotropic_form_is_searched(monkeypatch):
+    # an anisotropic verdict leaves nothing to find; its entry still reads
+    # search_witness null, and every report stays the golden one
+    searched = _spy_search(monkeypatch)
+    anisotropic = 0
+    for doc in json.loads(GOLDEN.read_text())["jobs"]:
+        spec = doc["job"]
+        job = Job(field_text=spec["field"], form_texts=spec["forms"],
+                  runs=spec["run"], **spec["limits"])
+        assert json.loads(json.dumps(run_report(job))) == doc
+        for entry in doc["forms"]:
+            verdict = entry.get("witt", {}).get("isotropy", {})
+            anisotropic += verdict.get("kind") == "anisotropic"
+    assert anisotropic >= 1
+    assert searched
+    assert not any(witt.decide_isotropy(phi).is_anisotropic
+                   for phi in searched)
+
+
+def test_unsearched_form_still_reports_an_exhausted_budget(monkeypatch,
+                                                           capsys):
+    # the budget test of the search runs on its own: [1,1]+t*[1,1] is
+    # anisotropic, and its two blocks cost 25 + 25 nodes at degree 6
+    searched = _spy_search(monkeypatch)
+    assert main(["--field", "F2((t))", "--form", "[1,1]+t*[1,1]", "--run",
+                 "witt", "--json", "--budget", "10"]) == 0
+    out = capsys.readouterr().out
+    assert '"search_budget_exhausted": "50 nodes"' in out
+    entry = json.loads(out)["forms"][0]["witt"]
+    assert entry["isotropy"]["kind"] == "anisotropic"
+    assert entry["search_witness"] is None
+    assert searched == []
 
 
 @pytest.mark.parametrize("text, kind", [("[1,t]", "split"),

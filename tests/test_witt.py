@@ -30,6 +30,7 @@ from helpers import (K1, K2, K3, checkout_env, random_elem,
 
 F2 = parse_field("F2")
 F4 = parse_field("F4")
+F4T = parse_field("F4((t))")
 
 
 def form(K, text):
@@ -681,6 +682,83 @@ def test_search_matches_golden_witnesses():
     kinds = [type(e["result"]).__name__ for e in doc["entries"]]
     assert (kinds.count("list"), kinds.count("dict"), len(kinds)) == \
         (131, 36, 420)
+
+
+def test_least_match_agrees_with_the_full_enumeration():
+    # small value ranges force repeats, zeros past key 0 and misses; the
+    # left side comes in runs of random lengths, as the search walks it
+    rng = random.Random(1729)
+    hits = 0
+    for _ in range(3000):
+        left = [0] + [rng.randrange(5) for _ in range(rng.randrange(12))]
+        right = [0] + [rng.randrange(5) for _ in range(rng.randrange(12))]
+        cuts = sorted(rng.sample(range(1, len(left)),
+                                 rng.randrange(len(left))))
+        runs = [left[a:b] for a, b in zip([0] + cuts, cuts + [len(left)])]
+        want = witt_oracle.first_dict_match(left, right)
+        assert witt._least_match(iter(runs), right) == want, (left, right)
+        hits += want is not None
+    assert 0 < hits < 3000
+
+
+def test_search_agrees_with_the_full_enumeration_match(monkeypatch):
+    # every match the search makes on forms of 1-4 blocks with quasilinear
+    # entries, over F2((t)), F2((s))((t)) and F4((t)), is checked against
+    # the reference; small budgets give BudgetExceeded cases
+    least_match = witt._least_match
+    checked = []
+
+    def both(runs, right):
+        runs = [list(run) for run in runs]
+        want = witt_oracle.first_dict_match(
+            [v for run in runs for v in run], right)
+        assert least_match(iter(runs), right) == want
+        checked.append(want)
+        return want
+    monkeypatch.setattr(witt, "_least_match", both)
+    rng = random.Random(311)
+    outcomes = dict.fromkeys(("found", "none", "budget"), 0)
+    nested = 0
+    for _ in range(200):
+        phi = random_tame_form(rng.choice([K1, K2, F4T]), rng,
+                               rng.choice([1, 2, 3, 4]),
+                               quasilinear=rng.choice([0, 1, 2]))
+        bound = rng.choice([2, 3, 4])
+        budget = rng.choice([2_000, 50_000])
+        try:
+            sides = witt._search_plan(phi, bound, budget)[2]
+            wit = brute_force_search(phi, bound, budget=budget)
+        except BudgetExceeded:
+            outcomes["budget"] += 1
+            continue
+        nested += max(map(len, sides)) > 1
+        outcomes["found" if wit else "none"] += 1
+    assert len(checked) == outcomes["found"] + outcomes["none"]
+    assert min(outcomes.values()) >= 10 and nested >= 100, (outcomes, nested)
+
+
+class _NoFacts(dict):
+    """A form memo that refuses every read and write."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the search touched the form's memo")
+
+    get = setdefault = __getitem__ = __setitem__ = __contains__ = _refuse
+
+
+def test_search_is_engine_free(monkeypatch):
+    # the CLI decides a form before it searches it, and the acceptance audit
+    # compares the two, so the search must read neither the engine nor the
+    # form's memo
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search called the engine")
+    phi = form(K2, "[0,0]+[1,1]+s*[1,1]")
+    object.__setattr__(phi, "_facts", _NoFacts())
+    for name in ("decide_isotropy", "witt_decompose"):
+        monkeypatch.setattr(witt, name, refuse)
+    monkeypatch.setattr(forms, "form_fact", refuse)
+    wit = brute_force_search(phi, 6)
+    assert [render_element(x) for x in wit] == ["0", "1", "0", "0", "0", "0"]
 
 
 FORGED_SEARCH = """

@@ -1,4 +1,6 @@
-"""The orthogonal complement of a hyperbolic plane by dense elimination: the
+"""References for two steps of the Witt engine and its search oracle.
+
+The orthogonal complement of a hyperbolic plane by dense elimination: the
 reference that `qf2.witt._complement`, which writes the complement's basis
 down from the block structure, is compared against.
 
@@ -7,6 +9,10 @@ row-reduces the n projected rows (`rref`), and takes the Gram matrix of the
 n - 2 reduced rows with the form's own dense `evaluate` and `polar`.  It
 costs n^2 polar terms and an n x n elimination per split, which is why it
 lives here and not in the package.
+
+The brute-force search's match step by full enumeration (`first_dict_match`):
+the reference that `qf2.witt._least_match`, which walks the left side only
+up to its first hit, is compared against.
 """
 
 from qf2._linalg import rref
@@ -39,3 +45,20 @@ def _complement(phi, v, u):
             entries[i][j] = phi.polar(basis[i], basis[j])
     return normal_form(GramInput(K, tuple(tuple(r) for r in entries)))
 
+
+
+def first_dict_match(left, right):
+    """The least key pair (i, j) != (0, 0) with left[i] == right[j], or None,
+    from the whole of both sides: a dict maps each left value to its least
+    key, and every nonzero right key is looked up in it."""
+    first = dict(zip(reversed(left), range(len(left) - 1, -1, -1)))
+    best = None
+    try:
+        best = (left.index(0, 1), 0)
+    except ValueError:
+        pass
+    for j in range(1, len(right)):
+        i = first.get(right[j])
+        if i is not None and (best is None or i < best[0]):
+            best = (i, j)
+    return best
