@@ -10,6 +10,12 @@ by one, as given: an error is positioned in its own argument, and a `;`
 there is a parse error (but the one of a pf).  Flags override the config
 file; identical jobs and limits produce byte-identical JSON, whatever the
 worker count.
+
+With --batch and --workers N > 1, main forks min(N, jobs) children before
+any job runs; child k runs jobs k, k+N, k+2N, ... and sends its reports back
+on its own pipe.  The error reported is that of the first failing line in
+file order, as with one worker.  Where os.fork is missing, the batch runs
+serially.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -291,6 +298,89 @@ def _evaluate_job_text(args_tuple):
     return run_report(job)
 
 
+def _run_stripe(jobs, r, w):
+    """Run jobs in order in this forked child, up to the first that raises,
+    and write (reports, error) to the pipe (r, w) as one pickle; error is
+    None or (that exception, its formatted traceback).  Leaves through
+    os._exit, so that the child never returns into its parent's code or
+    flushes its parent's buffers."""
+    code = 1
+    try:
+        import pickle
+        os.close(r)
+        reports, error = [], None
+        for p in jobs:
+            try:
+                # the module global, so that a wrapper installed before the
+                # fork runs here
+                reports.append(_evaluate_job_text(p))
+            except Exception as exc:
+                import traceback
+                error = (exc, "".join(traceback.format_exception(exc)))
+                break
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump((reports, error), fh)
+        code = 0
+    except Exception:
+        # e.g. an exception that does not pickle; the parent then reports
+        # the exit status, and this says why
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _striped(payload, workers):
+    """[_evaluate_job_text(p) for p in payload], run in n = min(workers,
+    jobs) forked children: child k runs jobs k, k+n, k+2n, ... and sends its
+    reports back on its own pipe.  The exception raised is the one of the
+    first failing job in file order, as in a serial run, with the child's
+    traceback as its __cause__.  A child that exits without sending its
+    reports raises ChildProcessError, with its exit status."""
+    import pickle
+    n = min(workers, len(payload))
+    children = []  # (pid, reader of its pipe) until the child is reaped
+    try:
+        # all children are forked before any job runs, so that none of them
+        # inherits a thread or a job's state
+        for k in range(n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_stripe(payload[k::n], r, w)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        stripes = []
+        while children:
+            pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            del children[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise ChildProcessError(
+                    f"batch worker {pid} exited with status {status} "
+                    f"before sending its reports")
+            stripes.append(pickle.loads(data))
+    finally:
+        for pid, fh in children:
+            import signal
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for i in range(len(payload)):
+        reports, error = stripes[i % n]
+        if i // n == len(reports):
+            # that child stopped here, and every earlier job has a report
+            exc, tb = error
+            exc.__cause__ = Exception(f'\n"""\n{tb}"""')
+            raise exc
+        results.append(reports[i // n])
+    return results
+
+
 _CONFIG_KEYS = ("field", "form", "run", "json", "strict", "degree_bound",
                "budget", "seed")
 # the least value of an integer setting; seed takes any integer
@@ -410,11 +500,8 @@ def main(argv=None):
                 payload = [(ln.rstrip("\n"), defaults, line)
                            for line, ln in enumerate(fh, 1)
                            if ln.strip() and not ln.strip().startswith("#")]
-            if args.workers > 1:
-                # imported here: serial runs never load multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                    results = list(pool.map(_evaluate_job_text, payload))
+            if args.workers > 1 and hasattr(os, "fork"):
+                results = _striped(payload, args.workers)
             else:
                 results = [_evaluate_job_text(p) for p in payload]
             doc = {"schema_version": SCHEMA_VERSION, "jobs": results}

@@ -1,9 +1,11 @@
 """CLI: job parsing, reports, exit codes, batch determinism."""
 
 import json
+import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -489,12 +491,135 @@ def test_batch_errors_name_the_file_line(tmp_path):
     assert out.stderr.startswith("parse error: line 4, col 35: expected ']'")
 
 
-def test_serial_cli_does_not_load_the_process_pool():
-    code = ("import sys, qf2.cli; "
-            "sys.exit('concurrent.futures' in sys.modules)")
+_OK = "field F2((t)); form [1,t]; run witt"
+
+
+def _batch(tmp_path, lines):
+    path = tmp_path / "jobs.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def _no_child_left():
+    # every batch worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_serial_cli_does_not_load_the_process_pool(tmp_path):
+    # nor does a batch with workers: they are forked children on pipes
+    batch = _batch(tmp_path, [_OK, _OK])
+    code = f"""if True:
+        import sys, qf2.cli
+        def loaded(*names):
+            return [m for m in names if m in sys.modules]
+        pool = ("concurrent.futures", "multiprocessing")
+        def run(workers):
+            return qf2.cli.main(["--batch", {batch!r}, "--json",
+                                 "--workers", workers])
+        bad = loaded(*pool, "pickle")
+        bad += [run("1")] + loaded(*pool, "pickle")
+        bad += [run("2")] + loaded(*pool)
+        sys.exit(str(bad) if bad != [0, 0] else 0)
+    """
     proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_batch_error_is_the_first_failing_line(tmp_path, capsys):
+    # lines 2 and 3 fail, in different children at 2 and 3 workers; the
+    # error reported is the one a serial run stops at
+    batch = _batch(tmp_path, [_OK, "field F2((t)); form [1/0,1]; run witt",
+                              "field F2((t)); form [1,1,1]; run witt", _OK])
+    errs = []
+    for workers in ("1", "2", "3"):
+        assert main(["--batch", batch, "--json", "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+        _no_child_left()
+    assert errs[0].startswith("parse error: line 2, col 24: ")
+    assert errs == [errs[0]] * 3
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not sent")
+
+
+def _exit_7():
+    os._exit(7)
+
+
+def _raise_unpicklable():
+    raise _Unpicklable()
+
+
+@pytest.mark.parametrize("die, status, why", [
+    (_exit_7, 7, ""),
+    (_raise_unpicklable, 1, "TypeError: not sent"),   # its traceback says why
+])
+def test_a_worker_that_dies_is_one_error_line(tmp_path, monkeypatch, capfd,
+                                              die, status, why):
+    # the first child dies; the others, still running, are killed and reaped
+    def job(args_tuple):
+        if args_tuple[2] == 1:
+            die()
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_evaluate_job_text", job)
+    t0 = time.monotonic()
+    assert main(["--batch", _batch(tmp_path, [_OK] * 3), "--json",
+                 "--workers", "3"]) == 1
+    assert time.monotonic() - t0 < 30
+    captured = capfd.readouterr()
+    child, _, line = captured.err.partition("error: ")
+    assert captured.out == "" and line.count("\n") == 1
+    assert line.startswith("batch worker ")
+    assert f"exited with status {status} " in line
+    assert (child.splitlines() or [""])[-1] == why
+    _no_child_left()
+
+
+def test_an_unexpected_error_keeps_its_worker_traceback(tmp_path,
+                                                       monkeypatch):
+    def dividing_job(args_tuple):
+        return args_tuple[2] // 0
+
+    monkeypatch.setattr(cli, "_evaluate_job_text", dividing_job)
+    with pytest.raises(ZeroDivisionError) as info:
+        main(["--batch", _batch(tmp_path, [_OK] * 3), "--json",
+              "--workers", "3"])
+    assert "in dividing_job\n" in str(info.value.__cause__)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("lines, children", [
+    (["field F2((t)); form [1,t]; run witt",
+      "field F2((t)); form [1,1]+t*[1,1]; run witt",
+      "field F2((s))((t)); form [1,1]+s*[1,1]+<t>; run chow2"], 3),
+    ([], 0),
+])
+def test_workers_beyond_the_jobs_fork_one_child_a_job(tmp_path, monkeypatch,
+                                                      capsys, lines,
+                                                      children):
+    batch = _batch(tmp_path, lines)
+    assert main(["--batch", batch, "--json"]) == 0
+    serial = capsys.readouterr().out
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert main(["--batch", batch, "--json", "--workers", "8"]) == 0
+    assert capsys.readouterr().out == serial
+    assert len(forked) == children
+    _no_child_left()
 
 
 def test_errors_cross_process_boundaries_whole():
