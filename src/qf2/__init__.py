@@ -10,20 +10,20 @@ from .fieldtower import (FieldDescriptor, FieldElem, WpClass, is_square,
                          parse_element, parse_field, quad_extend,
                          render_element, valuation_split, wp_member,
                          wp_reduce, wp_root)
-from .forms import (GramInput, QuadraticForm, arf, discriminant_algebra,
-                    hyperbolic, hyperbolic_plane, isometric, normal_form,
-                    orthogonal_sum, parse_form, render_form, represents,
-                    scale, subform_test)
+from .forms import (GramInput, PfisterSpec, QuadraticForm, arf,
+                    discriminant_algebra, hyperbolic, hyperbolic_plane,
+                    make_pfister, normal_form, orthogonal_sum, parse_form,
+                    render_form, scale)
 from .witt import (IsotropyVerdict, ResiduePair, WittDecomposition,
-                   brute_force_search, decide_isotropy, springer_residues,
+                   brute_force_search, decide_isotropy, isometric,
+                   represents, springer_residues, subform_test,
                    witt_decompose, witt_index_over_ext)
 from .clifford import (AlgebraClassDescriptor, CliffordAlgebra,
                        SplittingIndexResult, albert_index, build_clifford,
                        center_and_idempotents, even_clifford_class,
                        quaternion_splits, splitting_index)
-from .pfister import (NeighborVerdict, PfisterSpec, make_pfister, neighbor,
-                      neighbor_dim5, neighbor_dim6, neighbor_high,
-                      pfister_hyperbolicity)
+from .pfister import (NeighborVerdict, neighbor, neighbor_dim5,
+                      neighbor_dim6, neighbor_high, pfister_hyperbolicity)
 from .chow import (ChowReport, SplitChowRow, chow2_torsion, chow3_torsion,
                    isotropic_reduce, split_chow_structure)
 

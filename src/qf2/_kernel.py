@@ -343,10 +343,6 @@ class FieldDescriptor:
             data = _ops_key(self.base_exponent, lvl).lift_data(data)
         return FieldElem(self, data)
 
-    def element(self, text: str) -> "FieldElem":
-        from .fieldtower import parse_element   # the parser sits on the kernel
-        return parse_element(self, text)
-
 
 # ---------------------------------------------------------------------------
 # Level operations on raw data.
@@ -563,9 +559,9 @@ class _F2tOps(_FracOps):
 
     pmul, add and mul call _times, which keeps the generic pmul's early-outs
     and cap test, on the same products in the same order, so every
-    DegreeOverflow fires where the generic code raises it.  The other
-    polynomial methods are the generic ones, reached only from the
-    overridden add, mul and canon."""
+    DegreeOverflow fires where the generic code raises it.  The generic
+    inv reaches the packed canon.  The other polynomial methods are the
+    generic ones, reached only from the overridden add, mul and canon."""
 
     def _times(self, p, q) -> int:
         """The packed product p*q, with the generic pmul's early-outs and
@@ -623,12 +619,6 @@ class _F2tOps(_FracOps):
             return x
         (n1, d1), (n2, d2) = x, y
         return self._canon_packed(self._times(n1, n2), self._times(d1, d2))
-
-    def inv(self, x):
-        n, d = x
-        if not n:
-            raise ZeroDivisionError
-        return self._canon_packed(_pack(d), _pack(n))
 
 
 @lru_cache(maxsize=None)

@@ -23,8 +23,9 @@ from typing import Optional
 from .errors import NotAlbert, OddDimension, SoundnessError, Undecided
 from .fieldtower import (ExtensionResult, FieldElem, is_square, quad_extend,
                          render_json, wp_member, wp_root)
-from .forms import (QuadraticForm, arf, arf_representative,
-                    discriminant_algebra, form_fact, orthogonal_sum, scale)
+from .forms import (PfisterSpec, QuadraticForm, arf, arf_representative,
+                    discriminant_algebra, form_fact, make_pfister,
+                    orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 
 __all__ = [
@@ -124,7 +125,7 @@ def center_and_idempotents(A: CliffordAlgebra) -> CenterResult:
 def quaternion_splits(alpha: FieldElem, beta: FieldElem) -> Optional[bool]:
     """Does the symbol (alpha, beta] split?  None = Unknown.
 
-    The norm form is the 2-fold Pfister <1,beta>_bil (x) [1,alpha]; the
+    The norm form is the 2-fold Pfister <<beta; alpha]]; the
     symbol splits iff that form is isotropic.  A square beta degenerates the
     bilinear slot and splits outright."""
     if beta.is_zero():
@@ -134,11 +135,8 @@ def quaternion_splits(alpha: FieldElem, beta: FieldElem) -> Optional[bool]:
         return True
     if wp_member(alpha):
         return True
-    K = alpha.field
-    one = K.one()
-    norm = orthogonal_sum(QuadraticForm(K, ((one, alpha),)),
-                          scale(beta, QuadraticForm(K, ((one, alpha),))))
-    v = decide_isotropy(norm)
+    v = decide_isotropy(make_pfister(PfisterSpec(alpha.field, (beta,),
+                                                  alpha)))
     if v.is_unknown:
         return None
     return v.is_isotropic

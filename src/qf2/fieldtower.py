@@ -122,9 +122,12 @@ def wp_root(a: FieldElem) -> Optional[FieldElem]:
     exists: the root of the positive-valuation part is sought by the rewrite
     r -> r + (c t^k + c^2 t^{2k}), which adds one monomial per step and so
     finds only Laurent-polynomial roots; it gives up when 2k passes the
-    degree cap.  A rational root that is an infinite series, such as
-    z = 1/(1+s) over F2((s)), is missed.  Membership in wp(K-hat) is decided
-    by wp_member, not here.
+    degree cap, and a DegreeOverflow on the way is turned into None too.  A
+    rational root that is an infinite series is missed, and the overflow is
+    what usually ends the walk: for a = s/(s^2+1) over F2((s)), whose root
+    is 1/(1+s), the step at k = 32 raises "degree 66 exceeds cap 64" before
+    2k passes the cap; t^3 + s/(s^2+1) over F2((s))((t)) fails the same way.
+    Membership in wp(K-hat) is decided by wp_member, not here.
     """
     K = a.field
     if K.level == 0:

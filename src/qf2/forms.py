@@ -1,7 +1,8 @@
 """Quadratic forms in characteristic 2: normal form, Arf invariant,
 discriminant algebra (K[T]/(T^2 + T + delta) for delta the Arf
 representative, classified once by quad_extend as "split", "field" or
-"unsupported"), sums/scaling, subform and representation tests.
+"unsupported"), sums/scaling, Pfister forms and the form parser.  The
+subform, representation and isometry tests are the Witt engine's (witt).
 
 A form is an orthogonal sum of binary blocks [a,b] = ax^2 + xy + by^2 plus a
 quasilinear diagonal <c_1,...,c_r> (each c_j nonzero).  Nonsingular means no
@@ -15,18 +16,18 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (Degenerate, FieldMismatch, OddDimension, ParseError,
-                     Undecided, ZeroScalar)
+                     ZeroScalar)
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem,
                          WpClass, _check_divisor, _parse_expr, _parse_factor,
-                         _Tok, is_square, quad_extend, render_element,
-                         render_json, wp_reduce)
+                         _Tok, quad_extend, render_element, render_json,
+                         wp_reduce)
 
 __all__ = [
     "QuadraticForm", "GramInput",
     "hyperbolic_plane", "hyperbolic", "block",
     "normal_form", "normal_form_trace", "arf", "arf_representative",
     "discriminant_algebra", "orthogonal_sum", "scale",
-    "square_scale_block", "subform_test", "represents", "isometric",
+    "square_scale_block", "PfisterSpec", "make_pfister",
     "parse_form", "render_form",
 ]
 
@@ -341,73 +342,36 @@ def square_scale_block(phi: QuadraticForm, i: int, c: FieldElem) -> QuadraticFor
 
 
 # ---------------------------------------------------------------------------
-# Subform / representation / isometry tests (decided by the Witt engine).
+# Pfister forms.
 
-def subform_test(sigma: QuadraticForm, phi: QuadraticForm) -> bool:
-    """sigma embeds in phi, for nonsingular sigma and phi.
+@dataclass(frozen=True)
+class PfisterSpec:
+    """Slots of <<a_1,...,a_{n-1}; b]]; bilinear slots must be nonzero."""
 
-    Criterion: i_W(phi _|_ sigma) >= dim sigma (sigma _|_ sigma is hyperbolic
-    in characteristic 2, so Witt cancellation gives the equivalence).
-    Raises Undecided when the engine cannot settle the Witt index.
-    """
-    from .witt import witt_decompose  # deferred: forms <-> witt layering
-    if not (sigma.is_nonsingular and phi.is_nonsingular):
-        raise OddDimension("subform test handles nonsingular forms")
-    if sigma.field != phi.field:
-        raise FieldMismatch("subform test over different fields")
-    if sigma.dim > phi.dim:
-        return False
-    dec = witt_decompose(orthogonal_sum(phi, sigma))
-    return dec.witt_index >= sigma.dim
+    field: FieldDescriptor
+    bilinear_slots: tuple
+    quadratic_slot: FieldElem
+
+    def to_json(self):
+        return render_json({"bilinear_slots": self.bilinear_slots,
+                            "quadratic_slot": self.quadratic_slot})
 
 
-def represents(phi: QuadraticForm, c: FieldElem) -> bool:
-    """Does phi take the value c (c nonzero)?"""
-    from .witt import decide_isotropy
-    if c.is_zero():
-        raise ZeroScalar("representation of zero is isotropy")
-    if not phi.is_nondegenerate:
-        raise Degenerate(len(phi.quasilinear))
-    verdict = decide_isotropy(phi)
-    if verdict.kind == "isotropic" and phi.blocks:
-        # A nondegenerate isotropic form with a nonsingular part contains a
-        # hyperbolic plane, hence is universal.
-        return True
-    ql = QuadraticForm(phi.field, (), (c,))
-    v2 = decide_isotropy(orthogonal_sum(phi, ql))
-    if v2.kind == "unknown" or verdict.kind == "unknown":
-        raise Undecided("representation undecided: "
-                        + (v2.reason or verdict.reason))
-    return v2.kind == "isotropic"
+def make_pfister(spec: PfisterSpec) -> QuadraticForm:
+    """Expand the spec to a quadratic form of dimension 2^n, where n - 1 is
+    the number of bilinear slots.
 
-
-def isometric(phi: QuadraticForm, psi: QuadraticForm) -> bool:
-    """Semantic isometry test.
-
-    Nonsingular: equal dimension and phi _|_ psi hyperbolic.  Odd-dimensional
-    nondegenerate: the quasilinear square class must match (it is an isometry
-    invariant); then isometry of the nonsingular parts is sufficient, and
-    anything subtler raises Undecided.
-    """
-    from .witt import witt_decompose
-    if phi.field != psi.field:
-        raise FieldMismatch("isometry over different fields")
-    if phi.dim != psi.dim:
-        return False
-    if phi.is_nonsingular and psi.is_nonsingular:
-        dec = witt_decompose(orthogonal_sum(phi, psi))
-        return dec.witt_index == phi.dim
-    if len(phi.quasilinear) == 1 and len(psi.quasilinear) == 1:
-        ratio_sq, _ = is_square(phi.quasilinear[0] / psi.quasilinear[0])
-        if not ratio_sq:
-            return False
-        a = QuadraticForm(phi.field, phi.blocks)
-        b = QuadraticForm(psi.field, psi.blocks)
-        if isometric(a, b):
-            return True
-        raise Undecided("odd-dimensional isometry beyond square-class + "
-                        "nonsingular-part comparison")
-    raise Undecided("isometry of singular forms")
+    <<a_1,...,a_{n-1}; b]] = <1,a_1>_bil (x) ... (x) [1,b].  Scaling is
+    applied on the left throughout: the slot list multiplies outside-in,
+    pi -> pi + a*pi."""
+    K = spec.field
+    for a in spec.bilinear_slots:
+        if a.is_zero():
+            raise ZeroScalar("bilinear Pfister slot must be nonzero")
+    pi = QuadraticForm(K, ((K.one(), spec.quadratic_slot),))
+    for a in reversed(spec.bilinear_slots):
+        pi = orthogonal_sum(pi, scale(a, pi))
+    return pi
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +465,6 @@ def _parse_form_primary(tk, K) -> QuadraticForm:
         tk.expect(";")
         quad = _parse_expr(tk, K)
         tk.expect(")")
-        from .pfister import PfisterSpec, make_pfister
         return make_pfister(PfisterSpec(K, tuple(slots), quad))
     if t == "(":
         tk.next()

@@ -1,11 +1,11 @@
-"""Pfister forms and Pfister-neighbor decisions.
+"""Pfister-neighbor decisions.
 
-<<a_1,...,a_{n-1}; b]] expands to <1,a_1>_bil (x) ... (x) [1,b]; an n-fold
-Pfister neighbor is a subform of dimension > 2^(n-1) of a scalar multiple of
-an n-fold Pfister form.  Dimension 5 and 6 neighbors are decided completely
-(splitting index / discriminant-extension Witt index); dimensions 7 and 8
-are decided by verified witnesses over a finite generator pool, or return
-Unknown - never an unverified No.
+An n-fold Pfister neighbor is a subform of dimension > 2^(n-1) of a scalar
+multiple of an n-fold Pfister form <<a_1,...,a_{n-1}; b]] (PfisterSpec and
+make_pfister live in forms and are re-exported here).  Dimension 5 and 6
+neighbors are decided completely (splitting index / discriminant-extension
+Witt index); dimensions 7 and 8 are decided by verified witnesses over a
+finite generator pool, or return Unknown - never an unverified No.
 
 The witness search never builds a candidate <<a_1,a_2; b]] that is
 hyperbolic by construction: one whose slot is a square or whose two slots
@@ -20,10 +20,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegreeOverflow, SoundnessError, Undecided, ZeroScalar
-from .fieldtower import FieldDescriptor, FieldElem, is_square, render_json
-from .forms import (QuadraticForm, arf, discriminant_algebra, form_fact,
-                    orthogonal_sum, scale)
+from .errors import DegreeOverflow, SoundnessError, Undecided
+from .fieldtower import FieldElem, is_square, render_json
+from .forms import (PfisterSpec, QuadraticForm, arf, discriminant_algebra,
+                    form_fact, make_pfister, orthogonal_sum, scale)
 from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
 from .clifford import splitting_index
 
@@ -36,35 +36,6 @@ __all__ = [
 # lam tries against anisotropic Pfister forms that _search_witness makes
 # before giving up
 _SEARCH_BUDGET = 400
-
-
-@dataclass(frozen=True)
-class PfisterSpec:
-    """Slots of <<a_1,...,a_{n-1}; b]]; bilinear slots must be nonzero."""
-
-    field: FieldDescriptor
-    bilinear_slots: tuple
-    quadratic_slot: FieldElem
-
-    def to_json(self):
-        return render_json({"bilinear_slots": self.bilinear_slots,
-                            "quadratic_slot": self.quadratic_slot})
-
-
-def make_pfister(spec: PfisterSpec) -> QuadraticForm:
-    """Expand the spec to a quadratic form of dimension 2^n, where n - 1 is
-    the number of bilinear slots.
-
-    Scaling is applied on the left throughout: the slot list multiplies
-    outside-in, pi -> pi + a*pi."""
-    K = spec.field
-    for a in spec.bilinear_slots:
-        if a.is_zero():
-            raise ZeroScalar("bilinear Pfister slot must be nonzero")
-    pi = QuadraticForm(K, ((K.one(), spec.quadratic_slot),))
-    for a in reversed(spec.bilinear_slots):
-        pi = orthogonal_sum(pi, scale(a, pi))
-    return pi
 
 
 def pfister_hyperbolicity(pi: QuadraticForm) -> Optional[bool]:

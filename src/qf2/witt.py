@@ -1,4 +1,5 @@
-"""Isotropy decisions and Witt decompositions over the tower family.
+"""Isotropy decisions and Witt decompositions over the tower family, and
+the subform, representation and isometry tests that they decide.
 
 Decision strategy: the finite base is solved exactly (trace criterion per
 block, universality of anisotropic binaries); at a Laurent level a form is
@@ -28,18 +29,20 @@ from typing import Optional
 from ._kernel import (base_field_mul, base_sqrt, base_wp_solve,
                       polynomial_denominator, polynomial_terms, principal_root)
 from ._linalg import row_dependency
-from .errors import (BudgetExceeded, Degenerate, NotNormalizable,
-                     SoundnessError, Undecided)
+from .errors import (BudgetExceeded, Degenerate, FieldMismatch,
+                     NotNormalizable, OddDimension, SoundnessError,
+                     Undecided, ZeroScalar)
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem,
-                         frobenius_components, render_json, unit_residue,
-                         valuation_split, wp_member, wp_reduce)
+                         frobenius_components, is_square, render_json,
+                         unit_residue, valuation_split, wp_member, wp_reduce)
 from .forms import (GramInput, QuadraticForm, _axpy, _plus, form_fact,
-                    normal_form)
+                    normal_form, orthogonal_sum)
 
 __all__ = [
     "IsotropyVerdict", "WittDecomposition", "ResiduePair",
     "decide_isotropy", "witt_decompose", "springer_residues",
     "brute_force_search", "witt_index_over_ext", "replay_verdict",
+    "subform_test", "represents", "isometric",
 ]
 
 
@@ -110,9 +113,9 @@ class ResiduePair:
 # Finite-field base case.
 
 def _finite_witness_binary(K, a, b):
-    """Nonzero zero of [a,b] over F_q, or None (exists iff trace(a*b) = 0)."""
-    if a.is_zero():
-        return (K.one(), K.zero())
+    """Nonzero zero of [a,b] over F_q, a, b nonzero, or None (exists iff
+    trace(a*b) = 0).  decide_isotropy's hyperbolic-block rule has taken
+    every block with a zero entry, which QuadraticForm makes [0,0]."""
     z = base_wp_solve(a, b)
     if z is None:
         return None
@@ -913,3 +916,70 @@ def witt_index_over_ext(phi: QuadraticForm, ext: ExtensionResult) -> int:
     ql = tuple(ext.embed(c) for c in phi.quasilinear)
     return witt_decompose(QuadraticForm(ext.new_field, blocks,
                                         ql)).witt_index
+
+
+# ---------------------------------------------------------------------------
+# Subform / representation / isometry tests.
+
+def subform_test(sigma: QuadraticForm, phi: QuadraticForm) -> bool:
+    """sigma embeds in phi, for nonsingular sigma and phi.
+
+    Criterion: i_W(phi _|_ sigma) >= dim sigma (sigma _|_ sigma is hyperbolic
+    in characteristic 2, so Witt cancellation gives the equivalence).
+    Raises Undecided when the engine cannot settle the Witt index.
+    """
+    if not (sigma.is_nonsingular and phi.is_nonsingular):
+        raise OddDimension("subform test handles nonsingular forms")
+    if sigma.field != phi.field:
+        raise FieldMismatch("subform test over different fields")
+    if sigma.dim > phi.dim:
+        return False
+    dec = witt_decompose(orthogonal_sum(phi, sigma))
+    return dec.witt_index >= sigma.dim
+
+
+def represents(phi: QuadraticForm, c: FieldElem) -> bool:
+    """Does phi take the value c (c nonzero)?"""
+    if c.is_zero():
+        raise ZeroScalar("representation of zero is isotropy")
+    if not phi.is_nondegenerate:
+        raise Degenerate(len(phi.quasilinear))
+    verdict = decide_isotropy(phi)
+    if verdict.kind == "isotropic" and phi.blocks:
+        # A nondegenerate isotropic form with a nonsingular part contains a
+        # hyperbolic plane, hence is universal.
+        return True
+    ql = QuadraticForm(phi.field, (), (c,))
+    v2 = decide_isotropy(orthogonal_sum(phi, ql))
+    if v2.kind == "unknown" or verdict.kind == "unknown":
+        raise Undecided("representation undecided: "
+                        + (v2.reason or verdict.reason))
+    return v2.kind == "isotropic"
+
+
+def isometric(phi: QuadraticForm, psi: QuadraticForm) -> bool:
+    """Semantic isometry test.
+
+    Nonsingular: equal dimension and phi _|_ psi hyperbolic.  Odd-dimensional
+    nondegenerate: the quasilinear square class must match (it is an isometry
+    invariant); then isometry of the nonsingular parts is sufficient, and
+    anything subtler raises Undecided.
+    """
+    if phi.field != psi.field:
+        raise FieldMismatch("isometry over different fields")
+    if phi.dim != psi.dim:
+        return False
+    if phi.is_nonsingular and psi.is_nonsingular:
+        dec = witt_decompose(orthogonal_sum(phi, psi))
+        return dec.witt_index == phi.dim
+    if len(phi.quasilinear) == 1 and len(psi.quasilinear) == 1:
+        ratio_sq, _ = is_square(phi.quasilinear[0] / psi.quasilinear[0])
+        if not ratio_sq:
+            return False
+        a = QuadraticForm(phi.field, phi.blocks)
+        b = QuadraticForm(psi.field, psi.blocks)
+        if isometric(a, b):
+            return True
+        raise Undecided("odd-dimensional isometry beyond square-class + "
+                        "nonsingular-part comparison")
+    raise Undecided("isometry of singular forms")

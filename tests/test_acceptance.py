@@ -104,7 +104,7 @@ def test_criterion_3_qq_hyperbolic_and_cancellation():
         assert dec.witt_index == q.dim and dec.kernel.dim == 0
         count_qq += 1
     from test_clifford import _tame_isometric_copy
-    from qf2.forms import isometric
+    from qf2.witt import isometric
     count_cancel = 0
     for _ in range(120):
         phi = random_tame_form(K2, rng, rng.choice([1, 2]))

@@ -221,7 +221,7 @@ prefix = _kernel._series_prefix
 _kernel._series_prefix = lambda x, upto: (prefix(x, upto)[0],
                                           prefix(x, upto)[1][:1])
 try:
-    fieldtower.wp_reduce(K.element("t^-1 + 1"))
+    fieldtower.wp_reduce(fieldtower.parse_element(K, "t^-1 + 1"))
 except SoundnessError:
     sys.exit(3)
 sys.exit(1)
@@ -421,7 +421,7 @@ def test_kernel_pinned():
 
 # --- packed level 1 over F2 against the generic level ----------------------------
 
-PACKED_METHODS = ("pmul", "canon", "add", "mul", "inv")
+PACKED_METHODS = ("pmul", "canon", "add", "mul")   # inv is the generic one
 
 
 def _outcome(ops, name, args):
@@ -453,7 +453,7 @@ def packed_level_mismatches(seed, rounds):
         return generic.canon(poly(), poly(nonzero=True))
 
     bad = []
-    seen = dict.fromkeys(PACKED_METHODS, 0)
+    seen = dict.fromkeys(PACKED_METHODS + ("inv",), 0)
     for _ in range(rounds):
         p, q, r = poly(), poly(), poly(nonzero=True)
         x, y = frac(), frac()

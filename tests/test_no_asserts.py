@@ -1,8 +1,9 @@
 """No `assert` statement in the package: `python -O` strips them, so a
 soundness check written as one would vanish.  Checks raise SoundnessError,
 not AssertionError, and no module keeps mutable state behind `global`.
-Only the field kernel reads an element's representation, and only forms.py
-touches a form's memo."""
+Only the field kernel reads an element's representation, only forms.py
+touches a form's memo, and every import of a qf2 module points down the
+layer order, at module level."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,47 @@ def _touches_the_memo(node):
 
 def test_only_forms_touches_the_memo():
     assert _find(_touches_the_memo, skip=("forms.py",)) == []
+
+
+# qf2's modules, lowest first: each imports only modules before it
+LAYERS = ("errors", "_kernel", "fieldtower", "_linalg", "forms", "witt",
+          "clifford", "pfister", "chow", "cli")
+
+
+def _qf2_imports(tree):
+    """(node, module) for each import of a qf2 module, relative or `qf2.…`;
+    the module is "qf2" for the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qf2":
+                    yield node, parts[1] if len(parts) > 1 else "qf2"
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level:
+                parts = ["qf2"] + [m for m in parts if m]
+            if parts[0] != "qf2":
+                continue
+            if len(parts) > 1:
+                yield node, parts[1]
+            else:
+                for alias in node.names:
+                    yield node, alias.name
+
+
+def test_imports_point_down():
+    """No qf2 import inside a function, and none of a module at or above
+    the importer's layer: the kernel imports errors alone."""
+    paths = sorted(Path(qf2.__file__).parent.glob("*.py"))
+    assert {p.stem for p in paths} == set(LAYERS) | {"__init__"}
+    found = []
+    for path in paths:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        below = LAYERS[:LAYERS.index(path.stem)]
+        found += [f"{path.name}:{node.lineno}"
+                  for node, module in _qf2_imports(tree)
+                  if node not in tree.body or module not in below]
+    assert found == []

@@ -6,13 +6,12 @@ import pytest
 
 from qf2 import pfister
 from qf2.errors import Undecided
-from qf2.fieldtower import parse_field
-from qf2.forms import (QuadraticForm, arf, isometric, parse_form, scale,
-                       subform_test)
+from qf2.fieldtower import parse_element, parse_field
+from qf2.forms import QuadraticForm, arf, parse_form, scale
 from qf2.pfister import (NeighborVerdict, PfisterSpec, make_pfister,
                          neighbor_dim5, neighbor_dim6, neighbor_high,
                          pfister_hyperbolicity)
-from qf2.witt import decide_isotropy, witt_decompose
+from qf2.witt import decide_isotropy, isometric, subform_test, witt_decompose
 
 from helpers import K1, K2, K3, random_tame_form, random_unit
 import pfister_oracle
@@ -25,7 +24,8 @@ def form(K, text):
 
 
 def spec(K, slots, quad):
-    return PfisterSpec(K, tuple(K.element(s) for s in slots), K.element(quad))
+    return PfisterSpec(K, tuple(parse_element(K, s) for s in slots),
+                       parse_element(K, quad))
 
 
 # --- construction ---------------------------------------------------------------
@@ -284,7 +284,7 @@ def test_search_matches_full_enumeration_on_a_small_budget(monkeypatch,
 def test_search_budget_counts_lam_tries_only(monkeypatch):
     # 88 specs skipped or isotropic and 10 lam rejected before the witness
     phi = form(K3, "t*[1,1]+t*s*[1,1]+<t*u>")
-    witness = (K3.element("t"), spec(K3, ["s", "u"], "1"))
+    witness = (parse_element(K3, "t"), spec(K3, ["s", "u"], "1"))
     for search in (pfister._search_witness, pfister_oracle.search_witness):
         monkeypatch.setattr(pfister, "_SEARCH_BUDGET", 10)
         assert search(phi) is None

@@ -16,13 +16,15 @@ from qf2 import clifford, forms, pfister, witt
 from qf2.clifford import splitting_index
 from qf2.errors import (BudgetExceeded, DegreeOverflow, NotNormalizable,
                         QF2Error, SoundnessError, Undecided)
-from qf2.fieldtower import (FieldElem, parse_field, quad_extend,
-                            render_element, render_json, wp_member)
+from qf2.fieldtower import (FieldElem, parse_element, parse_field,
+                            quad_extend, render_element, render_json,
+                            wp_member)
 from qf2.forms import (QuadraticForm, arf, form_fact, hyperbolic,
-                       hyperbolic_plane, isometric, orthogonal_sum,
-                       parse_form, render_form, scale)
-from qf2.witt import (brute_force_search, decide_isotropy, replay_verdict,
-                      springer_residues, witt_decompose, witt_index_over_ext)
+                       hyperbolic_plane, orthogonal_sum, parse_form,
+                       render_form, scale)
+from qf2.witt import (brute_force_search, decide_isotropy, isometric,
+                      replay_verdict, springer_residues, witt_decompose,
+                      witt_index_over_ext)
 
 import witt_oracle
 from helpers import (K1, K2, K3, checkout_env, random_elem,
@@ -896,9 +898,10 @@ def test_no_anisotropic_dim10_kernel_in_i3():
 
 def _pinned_form(doc):
     K = parse_field(doc["field"])
-    return QuadraticForm(K, tuple((K.element(a), K.element(b))
+    return QuadraticForm(K, tuple((parse_element(K, a), parse_element(K, b))
                                   for a, b in doc["blocks"]),
-                         tuple(K.element(c) for c in doc["quasilinear"]))
+                         tuple(parse_element(K, c)
+                               for c in doc["quasilinear"]))
 
 
 def test_witt_pinned():
