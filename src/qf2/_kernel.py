@@ -19,8 +19,12 @@ same overflow points as the generic levels.
 The field identities cost nothing: adding zero and multiplying by zero or
 one return an operand itself, never a re-reduced copy (canonical data is
 unique, so no output changes; a re-reduction's DegreeOverflow can only
-disappear).  Each FieldDescriptor resolves its level ops once, when built;
-the handle takes no part in equality, hashing, repr or pickling.
+disappear).  Each FieldDescriptor resolves its level ops and builds its
+zero, one and variables once, when built; none of these takes part in
+equality, hashing, repr or pickling.  intern_field keeps one descriptor per
+field, so the operators of FieldElem (a slotted, immutable handle on a
+descriptor and raw data) meet the same descriptor and skip the equality
+test.
 """
 
 from __future__ import annotations
@@ -278,6 +282,10 @@ class FieldDescriptor:
     variables: tuple = ()
     # the shared level ops, _ops_key(base_exponent, level)
     _ops: object = dc_field(init=False, repr=False, compare=False)
+    # zero(), one() and var(name), built once
+    _zero: object = dc_field(init=False, repr=False, compare=False)
+    _one: object = dc_field(init=False, repr=False, compare=False)
+    _vars: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_exponent < 1:
@@ -286,12 +294,21 @@ class FieldDescriptor:
             raise ValueError("variable names must be unique")
         if len(self.variables) > DEFAULT_TOWER_CAP:
             raise TowerDepthExceeded(f"{len(self.variables)} > {DEFAULT_TOWER_CAP}")
-        object.__setattr__(self, "_ops", _ops_key(self.base_exponent,
-                                                  len(self.variables)))
+        ops = _ops_key(self.base_exponent, len(self.variables))
+        variables = {}
+        for idx, name in enumerate(self.variables):
+            data = _ops_key(self.base_exponent, idx + 1).var_data()
+            for lvl in range(idx + 2, len(self.variables) + 1):
+                data = _ops_key(self.base_exponent, lvl).lift_data(data)
+            variables[name] = FieldElem(self, data)
+        object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_zero", FieldElem(self, ops.zero))
+        object.__setattr__(self, "_one", FieldElem(self, ops.one))
+        object.__setattr__(self, "_vars", variables)
 
     def __reduce__(self):
-        # rebuilt from its fields, so that it resolves the shared ops again
-        return type(self), (self.base_exponent, self.variables)
+        # rebuilt from its fields, as the interned descriptor
+        return intern_field, (self.base_exponent, self.variables)
 
     @property
     def level(self) -> int:
@@ -300,7 +317,7 @@ class FieldDescriptor:
     def lower(self) -> "FieldDescriptor":
         if not self.variables:
             raise ValueError("already at the base")
-        return FieldDescriptor(self.base_exponent, self.variables[:-1])
+        return intern_field(self.base_exponent, self.variables[:-1])
 
     @property
     def top_variable(self) -> str:
@@ -319,10 +336,10 @@ class FieldDescriptor:
 
     # element constructors -------------------------------------------------
     def zero(self) -> "FieldElem":
-        return FieldElem(self, self._ops.zero)
+        return self._zero
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, self._ops.one)
+        return self._one
 
     def from_base(self, bits: int) -> "FieldElem":
         if not 0 <= bits < (1 << self.base_exponent):
@@ -335,13 +352,23 @@ class FieldDescriptor:
         return self.from_base(2)
 
     def var(self, name: str) -> "FieldElem":
-        if name not in self.variables:
-            raise ValueError(f"unknown variable {name!r}")
-        idx = self.variables.index(name)
-        data = _ops_key(self.base_exponent, idx + 1).var_data()
-        for lvl in range(idx + 2, self.level + 1):
-            data = _ops_key(self.base_exponent, lvl).lift_data(data)
-        return FieldElem(self, data)
+        try:
+            return self._vars[name]
+        except KeyError:
+            raise ValueError(f"unknown variable {name!r}") from None
+
+
+@lru_cache(maxsize=None)
+def intern_field(base_exponent: int, variables: tuple) -> FieldDescriptor:
+    """The one shared descriptor of F_{2^e}((v_1))...((v_n)).
+
+    Every descriptor the package builds comes from here (both arguments
+    positional, so that each field has one cache key), and FieldElem's
+    operators test the fields of their operands by identity first.  A
+    descriptor built directly is a separate object that compares equal, and
+    its elements still meet the interned ones on the slower equality path.
+    """
+    return FieldDescriptor(base_exponent, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -633,49 +660,84 @@ def _ops_key(e: int, level: int):
 # ---------------------------------------------------------------------------
 # Elements.
 
-@dataclass(frozen=True)
 class FieldElem:
-    """An exact element of a Laurent tower; immutable, structural equality."""
+    """An exact element of a Laurent tower; immutable, structural equality.
 
-    field: FieldDescriptor
-    data: Union[int, tuple]
+    A slotted handle on (field, data): assignment and deletion raise
+    AttributeError, pickling and copying rebuild it from the two slots, and
+    equality and hashing are by value, hash((field, data)).  The operators
+    call the field's level ops directly once the operands' fields are the
+    same object (one interned descriptor per field); _check is the path for
+    distinct descriptors.  The field identities return an operand itself.
+    """
 
-    def _ops(self):
-        return self.field._ops
+    __slots__ = ("field", "data")
+
+    def __init__(self, field: FieldDescriptor, data: Union[int, tuple]):
+        _set_field(self, field)
+        _set_data(self, data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldElem is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FieldElem is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FieldElem, (self.field, self.data)
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElem:
+            return NotImplemented
+        return self.data == other.data and (
+            self.field is other.field or self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.field, self.data))
 
     def _check(self, other):
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field.render()} vs {other.field.render()}")
 
-    def _result(self, other, data) -> "FieldElem":
-        """The element with this data: an operand itself when the ops
-        returned that operand's data."""
-        if data is self.data:
-            return self
-        if data is other.data:
-            return other
-        return FieldElem(self.field, data)
-
     def is_zero(self) -> bool:
-        return self._ops().is_zero(self.data)
+        data = self.data
+        return not data[0] if data.__class__ is tuple else data == 0
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return self._result(other, self._ops().add(self.data, other.data))
+        field = self.field
+        if other.field is not field:
+            self._check(other)
+        x, y = self.data, other.data
+        data = field._ops.add(x, y)
+        if data is x:
+            return self
+        if data is y:
+            return other
+        return FieldElem(field, data)
 
     __sub__ = __add__  # characteristic 2
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return self._result(other, self._ops().mul(self.data, other.data))
+        field = self.field
+        if other.field is not field:
+            self._check(other)
+        x, y = self.data, other.data
+        data = field._ops.mul(x, y)
+        if data is x:
+            return self
+        if data is y:
+            return other
+        return FieldElem(field, data)
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field, self._ops().mul(self.data,
-                                                     self._ops().inv(other.data)))
+        field = self.field
+        if other.field is not field:
+            self._check(other)
+        ops = field._ops
+        return FieldElem(field, ops.mul(self.data, ops.inv(other.data)))
 
     def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self._ops().inv(self.data))
+        return FieldElem(self.field, self.field._ops.inv(self.data))
 
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
@@ -712,6 +774,10 @@ class FieldElem:
         return FieldElem(K, data)
 
 
+_set_field = FieldElem.field.__set__
+_set_data = FieldElem.data.__set__
+
+
 def _embed_raw(data, level, e, e2):
     if level == 0:
         r = 0
@@ -737,7 +803,7 @@ def valuation_split(x: FieldElem):
         raise ValueError("base-field elements have no Laurent valuation")
     if x.is_zero():
         raise ZeroElement("valuation of zero")
-    ops = x._ops()
+    ops = x.field._ops
     n, d = x.data
     v = ops.pval(n) - ops.pval(d)
     u = FieldElem(x.field, ops.shift(x.data, -v))
@@ -746,7 +812,7 @@ def valuation_split(x: FieldElem):
 
 def unit_residue(u: FieldElem) -> FieldElem:
     """Constant term of a valuation-0 element, as a lower-level element."""
-    ops = u._ops()
+    ops = u.field._ops
     n, d = u.data
     if not n or ops.pval(n) != 0 or ops.pval(d) != 0:
         raise ZeroElement("not a unit at the top variable")
@@ -760,7 +826,7 @@ def is_square(x: FieldElem):
     coefficients and square even-degree coefficients (squares in K are
     K^2 = k^2((t^2))); at the finite base everything is a square.
     """
-    ops = x._ops()
+    ops = x.field._ops
     if ops.is_square(x.data):
         return True, FieldElem(x.field, ops.sqrt_exact(x.data))
     return False, None
@@ -772,7 +838,7 @@ def _series_prefix(x: FieldElem, upto: int):
     Exact: from the reduced fraction, by power-series division of the unit
     part.  Only finitely many terms are requested.
     """
-    ops = x._ops()
+    ops = x.field._ops
     lo = ops.lower
     n, d = x.data
     pv_n, pv_d = ops.pval(n), ops.pval(d)
@@ -902,7 +968,7 @@ def frobenius_components(x: FieldElem) -> dict:
         return {(): base_sqrt(x)} if x.data else {}
     if x.is_zero():
         return {}
-    ops = x._ops()
+    ops = x.field._ops
     lo = ops.lower
     n, d = x.data
     f = ops.pmul(n, d)  # x = f / d^2

@@ -13,9 +13,9 @@ from typing import Optional
 
 from ._kernel import (DEFAULT_DEGREE_CAP, DEFAULT_TOWER_CAP, FieldDescriptor,
                       FieldElem, _canonical_trace_one, base_trace,
-                      base_wp_solve, frobenius_components, is_square,
-                      principal_part, principal_root, render_element,
-                      unit_residue, valuation_split)
+                      base_wp_solve, frobenius_components, intern_field,
+                      is_square, principal_part, principal_root,
+                      render_element, unit_residue, valuation_split)
 from .errors import DegreeOverflow, FieldMismatch, ParseError, SoundnessError
 
 __all__ = [
@@ -192,7 +192,7 @@ def quad_extend(K: FieldDescriptor, delta: FieldElem) -> ExtensionResult:
     kind = wp_reduce(delta).extension_kind()
     new_field = K if kind == "split" else None
     if kind == "field":
-        new_field = FieldDescriptor(2 * K.base_exponent, K.variables)
+        new_field = intern_field(2 * K.base_exponent, K.variables)
     return ExtensionResult(kind, delta, new_field)
 
 
@@ -290,7 +290,7 @@ def parse_field(text: str) -> FieldDescriptor:
         tk.expect("))")
     if not tk.done():
         tk.fail("end of field declaration")
-    return FieldDescriptor(e, tuple(varnames))
+    return intern_field(e, tuple(varnames))
 
 
 def _parse_expr(tk: _Tok, K: FieldDescriptor) -> FieldElem:

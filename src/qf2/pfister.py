@@ -23,8 +23,8 @@ from typing import Optional
 from .errors import DegreeOverflow, SoundnessError, Undecided
 from .fieldtower import FieldElem, is_square, render_json
 from .forms import (PfisterSpec, QuadraticForm, arf, discriminant_algebra,
-                    form_fact, make_pfister, orthogonal_sum, scale)
-from .witt import decide_isotropy, witt_decompose, witt_index_over_ext
+                    form_fact, make_pfister, scale)
+from .witt import decide_isotropy, subform_test, witt_index_over_ext
 from .clifford import splitting_index
 
 __all__ = [
@@ -69,16 +69,6 @@ class NeighborVerdict:
         return render_json(out)
 
 
-def _embeds(phi: QuadraticForm, pi: QuadraticForm) -> Optional[bool]:
-    """phi (nondegenerate, quasilinear part <= 1) embeds into nonsingular pi
-    iff i_W(pi _|_ phi) >= dim phi.  None when the engine cannot decide."""
-    try:
-        dec = witt_decompose(orthogonal_sum(pi, phi))
-    except Undecided:
-        return None
-    return dec.witt_index >= phi.dim
-
-
 def _verify_witness(phi, lam, spec) -> Optional[bool]:
     pi = make_pfister(spec)
     v = decide_isotropy(pi)
@@ -87,7 +77,10 @@ def _verify_witness(phi, lam, spec) -> Optional[bool]:
     if v.is_isotropic:
         # hyperbolic Pfister form: not a witness for an anisotropic phi
         return False
-    return _embeds(phi, scale(lam, pi))
+    try:
+        return subform_test(phi, scale(lam, pi))
+    except Undecided:
+        return None
 
 
 def default_slot_pool(phi: QuadraticForm):
@@ -153,8 +146,11 @@ def _search_witness(phi):
                 tried += 1
                 if tried > _SEARCH_BUDGET:
                     return None
-                if _embeds(phi, scale(lam, pi)):
-                    return lam, spec
+                try:
+                    if subform_test(phi, scale(lam, pi)):
+                        return lam, spec
+                except Undecided:
+                    pass
     return None
 
 

@@ -922,14 +922,17 @@ def witt_index_over_ext(phi: QuadraticForm, ext: ExtensionResult) -> int:
 # Subform / representation / isometry tests.
 
 def subform_test(sigma: QuadraticForm, phi: QuadraticForm) -> bool:
-    """sigma embeds in phi, for nonsingular sigma and phi.
+    """sigma embeds in phi, for nonsingular phi and nondegenerate sigma with
+    at most one quasilinear entry (an odd-dimensional Pfister neighbour
+    inside a scaled Pfister form is the case with one).
 
     Criterion: i_W(phi _|_ sigma) >= dim sigma (sigma _|_ sigma is hyperbolic
     in characteristic 2, so Witt cancellation gives the equivalence).
     Raises Undecided when the engine cannot settle the Witt index.
     """
-    if not (sigma.is_nonsingular and phi.is_nonsingular):
-        raise OddDimension("subform test handles nonsingular forms")
+    if not (sigma.is_nondegenerate and phi.is_nonsingular):
+        raise OddDimension("subform test handles a nondegenerate sigma in a "
+                           "nonsingular phi")
     if sigma.field != phi.field:
         raise FieldMismatch("subform test over different fields")
     if sigma.dim > phi.dim:

@@ -11,8 +11,9 @@ at call time, so a test that patches the budget patches this search too).
 import itertools
 
 from qf2 import pfister
+from qf2.errors import Undecided
 from qf2.forms import scale
-from qf2.witt import decide_isotropy
+from qf2.witt import decide_isotropy, subform_test
 
 
 def search_witness(phi):
@@ -29,6 +30,9 @@ def search_witness(phi):
                 tried += 1
                 if tried > pfister._SEARCH_BUDGET:
                     return None
-                if pfister._embeds(phi, scale(lam, pi)):
-                    return lam, spec
+                try:
+                    if subform_test(phi, scale(lam, pi)):
+                        return lam, spec
+                except Undecided:
+                    pass
     return None

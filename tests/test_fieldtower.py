@@ -1,5 +1,6 @@
 """Field-tower arithmetic: exactness, valuations, squares, wp classes."""
 
+import copy
 import json
 import pickle
 import random
@@ -612,6 +613,88 @@ def test_equal_descriptors_built_apart_still_meet():
                    lambda a, b: a / b):
             with pytest.raises(FieldMismatch):
                 op(x, y)
+
+
+
+# --- the element handle and interned descriptors ------------------------------------
+
+ELEMENT_IMMUTABLE = """
+import sys
+from qf2.fieldtower import parse_element, parse_field
+if not sys.flags.optimize:
+    sys.exit(2)
+K = parse_field("F2((s))((t))")
+x = parse_element(K, "s/t+1")
+for attr, value in (("data", K.one().data), ("field", parse_field("F2"))):
+    try:
+        setattr(x, attr, value)
+    except AttributeError:
+        pass
+    else:
+        sys.exit(3)
+    try:
+        delattr(x, attr)
+    except AttributeError:
+        pass
+    else:
+        sys.exit(4)
+sys.exit(0 if x == parse_element(K, "s/t+1") and x.field is K else 5)
+"""
+
+
+def test_element_refuses_assignment_and_deletion():
+    x = elem(K2, "s/t+1")
+    for attr, value in (("data", K2.one().data), ("field", K1)):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+    with pytest.raises(AttributeError):
+        x.other = 1
+    assert x == elem(K2, "s/t+1") and x.field is K2
+    assert not hasattr(x, "__dict__")
+
+
+def test_element_refuses_assignment_under_O():
+    proc = run_optimized(ELEMENT_IMMUTABLE)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("text", ["F8", "F2((t))", "F4((t))", "F2((s))((t))",
+                                  "F2((s))((t))((u))"])
+def test_element_round_trips_to_the_interned_descriptor(text):
+    K = parse_field(text)
+    x = random_elem(K, random.Random(5), deg=2, nonzero=True)
+    for back in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                 copy.deepcopy(x)):
+        assert back == x and hash(back) == hash(x)
+        assert back.field is K and back.field is _kernel.intern_field(
+            K.base_exponent, K.variables)
+    # an element of a descriptor built apart comes back on the interned one
+    apart = FieldDescriptor(K.base_exponent, K.variables)
+    y = pickle.loads(pickle.dumps(apart.one()))
+    assert y.field is K and y == apart.one() == K.one()
+
+
+def test_descriptors_are_interned():
+    for text in ("F2", "F4((t))", "F2((s))((t))", "F2((s))((t))((u))"):
+        K = parse_field(text)
+        assert parse_field(text) is K
+        assert K.zero() is K.zero() and K.one() is K.one()
+        for v in K.variables:
+            assert K.var(v) is K.var(v)
+        if K.level:
+            assert K.lower() is K.lower()
+            assert K.lower() is parse_field(K.lower().render())
+    with pytest.raises(ValueError):
+        K2.var("u")
+
+
+def test_quad_extend_field_is_interned():
+    ext = quad_extend(K1, K1.one())
+    assert ext.kind == "field"
+    assert ext.new_field is parse_field("F4((t))")
+    assert quad_extend(K1, K1.one()).new_field is ext.new_field
 
 
 # --- embedding root ---------------------------------------------------------------

@@ -314,6 +314,24 @@ def test_subform_failure():
     assert not subform_test(sigma, phi)
 
 
+
+def test_subform_with_one_quasilinear_entry():
+    """<c> embeds in a nonsingular phi iff phi represents c; sigma + <c>
+    embeds in the Pfister form that holds it; a sigma with two quasilinear
+    entries is refused."""
+    phi = form(K2, "[1,1]+s*[1,1]")
+    seen = set()
+    for c in ("1", "s", "t", "s*t", "s+t", "1/t"):
+        got = subform_test(form(K2, f"<{c}>"), phi)
+        assert got == represents(phi, parse_element(K2, c))
+        seen.add(got)
+    assert seen == {True, False}
+    assert subform_test(form(K2, "[1,1]+<s>"), phi)
+    with pytest.raises(OddDimension):
+        subform_test(form(K2, "<1,s>"), phi)
+    with pytest.raises(OddDimension):
+        subform_test(form(K2, "<1>"), form(K2, "[1,1]+<s>"))
+
 def test_represents_universal_hyperbolic():
     h = hyperbolic_plane(K2)
     c = parse_element(K2, "t^-1+s")

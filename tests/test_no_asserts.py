@@ -1,9 +1,9 @@
 """No `assert` statement in the package: `python -O` strips them, so a
 soundness check written as one would vanish.  Checks raise SoundnessError,
 not AssertionError, and no module keeps mutable state behind `global`.
-Only the field kernel reads an element's representation, only forms.py
-touches a form's memo, and every import of a qf2 module points down the
-layer order, at module level."""
+Only the field kernel reads an element's representation or builds a field
+descriptor, only forms.py touches a form's memo, and every import of a qf2
+module points down the layer order, at module level."""
 
 import ast
 from pathlib import Path
@@ -57,6 +57,22 @@ def _reads_representation(node):
 
 def test_only_the_kernel_reads_the_representation():
     assert _find(_reads_representation, skip=("_kernel.py",)) == []
+
+
+def _builds_a_descriptor(node):
+    """A direct call of `FieldDescriptor(...)`, not through `intern_field`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        func.id if isinstance(func, ast.Name) else None
+    return name == "FieldDescriptor"
+
+
+def test_only_the_kernel_builds_descriptors():
+    """Every other module takes its descriptors from `intern_field`, so the
+    operators' identity test on the field is the common case."""
+    assert _find(_builds_a_descriptor, skip=("_kernel.py",)) == []
 
 
 def _touches_the_memo(node):
