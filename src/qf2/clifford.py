@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotAlbert, OddDimension, SoundnessError, Undecided
+from .errors import (NotAlbert, OddDimension, QF2Error, SoundnessError,
+                     Undecided)
 from .fieldtower import (ExtensionResult, FieldElem, is_square, quad_extend,
                          render_json, wp_member, wp_root)
 from .forms import (PfisterSpec, QuadraticForm, arf, arf_representative,
@@ -267,28 +268,67 @@ def even_clifford_class(phi: QuadraticForm) -> AlgebraClassDescriptor:
     Even dim: [C'_0] is [C(phi)] over the centre's field (K itself when the
     Arf invariant is trivial), so the block symbols are embedded there; a
     ramified centre leaves the interval wide open.
+
+    The index interval is splitting_index(phi)'s (its memo) wherever that
+    is resolved and not itself read off the symbols: the index of C'_0(phi)
+    is ind(phi).  Elsewhere, and whenever splitting_index raises, the
+    symbols certify the interval alone (_symbol_class).
     """
+    interval = _splitting_interval(phi)
+    if interval is None:
+        return _symbol_class(phi)
+    center, syms, comp, rule = _class_symbols(phi)
+    return AlgebraClassDescriptor(center, syms, comp, interval, (rule,))
+
+
+def _splitting_interval(phi: QuadraticForm) -> Optional[tuple]:
+    """splitting_index(phi)'s index interval; None over a ramified centre,
+    and wherever splitting_index raises, is unresolved or read its interval
+    off the symbols (an anisotropic kernel of dim >= 7)."""
+    if phi.is_nonsingular and \
+            discriminant_algebra(phi).kind == "unsupported":
+        return None
+    try:
+        res = splitting_index(phi)
+    except QF2Error:
+        return None
+    if not res.resolved or res.rule.startswith("symbols"):
+        return None
+    return res.ind_low, res.ind_high
+
+
+def _symbol_class(phi: QuadraticForm) -> AlgebraClassDescriptor:
+    """even_clifford_class(phi) with the interval that the symbols certify
+    alone.  _splitting_index_anisotropic reads this, not even_clifford_class,
+    so the two never recurse into each other."""
+    center, syms, comp, rule = _class_symbols(phi)
+    if syms is None:
+        return AlgebraClassDescriptor(center, (), None,
+                                      (1, 2 ** ((phi.dim - 1) // 2)),
+                                      (rule,))
+    return AlgebraClassDescriptor(center, syms, comp,
+                                  _index_interval_of_symbols(syms), (rule,))
+
+
+def _class_symbols(phi: QuadraticForm):
+    """(center, symbols, companion form, rule) of [C'_0(phi)], the symbols
+    embedded over the centre; the symbols are None over a ramified
+    centre."""
     K = phi.field
     if phi.is_nonsingular:
         center = discriminant_algebra(phi)
         if center.kind == "unsupported":
-            return AlgebraClassDescriptor(center, (), None,
-                                          (1, 2 ** ((phi.dim - 1) // 2)),
-                                          ("ramified-center",))
-        syms = [(center.embed(a), center.embed(b))
-                for a, b in _symbols_of_even_form(phi)]
+            return center, None, None, "ramified-center"
+        syms = tuple((center.embed(a), center.embed(b))
+                     for a, b in _symbols_of_even_form(phi))
         rule = "even-trivial-arf-symbols" if center.kind == "split" \
             else "even-arf-symbols-over-Z"
-        return AlgebraClassDescriptor(
-            center, tuple(syms), None, _index_interval_of_symbols(syms),
-            (rule,))
+        return center, syms, None, rule
     if len(phi.quasilinear) == 1:
         # C_0(psi + <c>) = C(c psi), central simple over K itself
         comp = scale(phi.quasilinear[0], QuadraticForm(K, phi.blocks))
-        syms = _symbols_of_even_form(comp)
-        return AlgebraClassDescriptor(
-            quad_extend(K, K.zero()), tuple(syms), comp,
-            _index_interval_of_symbols(syms), ("odd-scaled-symbols",))
+        return (quad_extend(K, K.zero()), tuple(_symbols_of_even_form(comp)),
+                comp, "odd-scaled-symbols")
     raise OddDimension("need a nondegenerate form")
 
 
@@ -353,13 +393,16 @@ def splitting_index(phi: QuadraticForm) -> SplittingIndexResult:
     except Undecided:
         return _interval(dim, 1, 2 ** m, "witt-undecided")
     iw = dec.witt_index
+    if iw == 0:
+        # the kernel is a bare copy of phi; phi itself holds its facts
+        return _splitting_index_anisotropic(phi)
     kernel = dec.kernel
     if kernel.dim == 0:
         return SplittingIndexResult(dim, iw - 1, 1, 1, "hyperbolic")
     kres = _splitting_index_anisotropic(kernel)
     return SplittingIndexResult(dim, kres.s + iw if kres.resolved else None,
                                 kres.ind_low, kres.ind_high,
-                                kres.rule + (f"+strip{iw}" if iw else ""))
+                                f"{kres.rule}+strip{iw}")
 
 
 def _splitting_index_anisotropic(phi: QuadraticForm) -> SplittingIndexResult:
@@ -413,7 +456,7 @@ def _splitting_index_anisotropic(phi: QuadraticForm) -> SplittingIndexResult:
             raise SoundnessError(f"dim-6 over Z with i_W = {iw}")
         return _resolved(6, ind, "dim6-over-Z")
     # dim >= 7: the symbol-calculus descriptor carries whatever is certified
-    desc = even_clifford_class(phi)
+    desc = _symbol_class(phi)
     low, high = desc.index_interval
     if low == high:
         return _resolved(dim, low, "symbols")

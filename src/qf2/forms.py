@@ -115,7 +115,12 @@ class QuadraticForm:
 def form_fact(fn):
     """Memoize fn(phi) on phi for as long as phi lives: the value is freed
     with the form.  None and errors are not kept.  The key is fn itself, so
-    two facts of the same name never meet."""
+    two facts of the same name never meet.
+
+    Contract: a kept value never references the form it is kept on.  A
+    value that must show its form holds bare_copy(phi) instead, so the
+    form and its facts hold no reference cycle and are freed when the
+    form's last reference goes, with no wait for a full collection."""
     @functools.wraps(fn)
     def memo(phi):
         value = phi._facts.get(fn)
@@ -125,6 +130,15 @@ def form_fact(fn):
                 phi._facts[fn] = value
         return value
     return memo
+
+
+def bare_copy(phi: QuadraticForm) -> QuadraticForm:
+    """A form equal to phi with an empty memo, built without validating its
+    entries again: what a fact kept on phi holds in place of phi."""
+    twin = object.__new__(QuadraticForm)
+    twin.__dict__.update(field=phi.field, blocks=phi.blocks,
+                         quasilinear=phi.quasilinear, _facts={})
+    return twin
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from .errors import (BudgetExceeded, Degenerate, FieldMismatch,
 from .fieldtower import (ExtensionResult, FieldDescriptor, FieldElem,
                          frobenius_components, is_square, render_json,
                          unit_residue, valuation_split, wp_member, wp_reduce)
-from .forms import (GramInput, QuadraticForm, _axpy, _plus, form_fact,
-                    normal_form, orthogonal_sum)
+from .forms import (GramInput, QuadraticForm, _axpy, _plus, bare_copy,
+                    form_fact, normal_form, orthogonal_sum)
 
 __all__ = [
     "IsotropyVerdict", "WittDecomposition", "ResiduePair",
@@ -50,10 +50,12 @@ __all__ = [
 class IsotropyVerdict:
     """Outcome of an isotropy decision.
 
-    kind: "isotropic" | "anisotropic" | "unknown".  witness: explicit zero
-    vector when one exists in the fraction field.  certificate: replayable
-    evidence as exact values (the vectors "x", "y" of an "isotropic-plane"
-    among them), rendered only by to_json.
+    kind: "isotropic" | "anisotropic" | "unknown".  form: an equal,
+    fact-less copy of the decided form (forms.bare_copy), so a verdict kept
+    on its form never holds that form.  witness: explicit zero vector when
+    one exists in the fraction field.  certificate: replayable evidence as
+    exact values (the vectors "x", "y" of an "isotropic-plane" among them),
+    rendered only by to_json.
     """
 
     kind: str
@@ -61,6 +63,9 @@ class IsotropyVerdict:
     witness: Optional[tuple] = None
     certificate: Optional[dict] = None
     reason: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "form", bare_copy(self.form))
 
     @property
     def is_isotropic(self):
@@ -87,6 +92,10 @@ class IsotropyVerdict:
 
 @dataclass(frozen=True)
 class WittDecomposition:
+    """phi = i_W H + kernel, kernel anisotropic.  The kernel of an
+    anisotropic phi is an equal, fact-less copy of phi (forms.bare_copy),
+    so a decomposition kept on phi never holds phi."""
+
     witt_index: int
     kernel: QuadraticForm
     planes: tuple = ()          # replayable description per split
@@ -377,7 +386,8 @@ def springer_residues(phi: QuadraticForm) -> ResiduePair:
 @form_fact
 def decide_isotropy(phi: QuadraticForm) -> IsotropyVerdict:
     """Decide whether phi has a nontrivial zero over its Laurent tower.  The
-    verdict is kept on phi for as long as phi lives (form_fact)."""
+    verdict is kept on phi for as long as phi lives (form_fact), and holds a
+    bare copy of phi, not phi."""
     K = phi.field
     n = phi.dim
     zero, one = K.zero(), K.one()
@@ -564,7 +574,9 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
     each split is an exact change of basis; a verdict with none of them
     raises SoundnessError.  The decomposition, kernel included, is kept on
     phi for as long as phi lives (form_fact), so readers must not change its
-    plane records; Undecided and Degenerate are raised again on every call."""
+    plane records; an anisotropic phi's kernel is a bare copy of phi, whose
+    facts stay on phi.  Undecided and Degenerate are raised again on every
+    call."""
     if not phi.is_nondegenerate:
         raise Degenerate(len(phi.quasilinear))
     current = phi
@@ -575,7 +587,8 @@ def witt_decompose(phi: QuadraticForm) -> WittDecomposition:
         if verdict.is_unknown:
             raise Undecided(f"witt decomposition stuck: {verdict.reason}")
         if verdict.is_anisotropic:
-            return WittDecomposition(index, current, tuple(planes))
+            kernel = current if index else bare_copy(phi)
+            return WittDecomposition(index, kernel, tuple(planes))
         cert = verdict.certificate or {}
         if cert.get("kind") == "isotropic-block":
             i = cert["block"]

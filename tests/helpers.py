@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from qf2.fieldtower import FieldDescriptor, FieldElem, parse_field
-from qf2.forms import QuadraticForm
+from qf2.forms import QuadraticForm, orthogonal_sum
 
 K1 = parse_field("F2((t))")
 K2 = parse_field("F2((s))((t))")
@@ -86,6 +86,28 @@ def random_tame_form(K: FieldDescriptor, rng: random.Random, blocks: int,
                 c = c * K.var(v)
         ql.append(c)
     return QuadraticForm(K, tuple(bl), tuple(ql))
+
+
+def index_corpus(per_dim: int):
+    """Nondegenerate tame forms for comparing index intervals: over each of
+    K1, K2 and K3, with its own Random(100 + level), per_dim forms of each
+    dim 2-8, then per_dim doubles q + q for q with 1-3 blocks (1-2 at level
+    3)."""
+    forms = []
+    for K in (K1, K2, K3):
+        rng = random.Random(100 + K.level)
+        shapes = [(dim // 2, dim % 2, False) for dim in range(2, 9)] + \
+            [(blocks, 0, True) for blocks in range(1, 3 if K is K3 else 4)]
+        for blocks, ql, double in shapes:
+            for _ in range(per_dim):
+                q = random_tame_form(K, rng, blocks, ql)
+                forms.append(orthogonal_sum(q, q) if double else q)
+    return forms
+
+
+def nested(inner, outer) -> bool:
+    """Does the interval inner = (low, high) lie inside outer?"""
+    return outer[0] <= inner[0] <= inner[1] <= outer[1]
 
 
 def retamed_block(K: FieldDescriptor, rng: random.Random):

@@ -19,18 +19,30 @@ Probes:
                 is random_elem(K, rng, 2, nonzero=True), block entries
                 first: the count of each verdict kind, and of DegreeOverflow,
                 per shape and in total.
+  clifford_index
+                the index interval of C'_0(phi) as the symbols certify it
+                alone (clifford._symbol_class) against splitting_index's,
+                over helpers.index_corpus(20) ("tame") and over random
+                nondegenerate forms of dims 2-8 over F2((t)) and
+                F2((s))((t)), 30 per dim, entries random_elem(K, rng, 2,
+                nonzero=True) with Random(5) per field ("nontame"): how
+                many intervals are equal, tighter on one side, or not
+                nested ("disagreeing"); how many public intervals
+                (even_clifford_class) are tighter than the symbols'; and
+                how many forms raise DegreeOverflow.
 """
 
 import json
 import random
 import sys
 
+from qf2 import clifford
 from qf2.errors import DegreeOverflow
 from qf2.fieldtower import parse_element
 from qf2.forms import QuadraticForm
 from qf2.witt import decide_isotropy
 
-from helpers import K1, K2, K3, random_elem
+from helpers import K1, K2, K3, index_corpus, nested, random_elem
 
 SIX_TERM_Z = "t^-3/s+(1+s)*t^-2+t^-1+1/s+1+t^2"
 
@@ -68,14 +80,19 @@ NONTAME_SHAPES = ((1, 1), (2, 0), (2, 1), (3, 0), (3, 1))
 NONTAME_KINDS = ("isotropic", "anisotropic", "unknown", "DegreeOverflow")
 
 
+def _random_form(K, rng, blocks, ql):
+    """A form whose entries are random_elem(K, rng, 2, nonzero=True), block
+    entries first; raises DegreeOverflow if an entry overflows."""
+    entries = [random_elem(K, rng, 2, nonzero=True)
+               for _ in range(2 * blocks + ql)]
+    return QuadraticForm(K, tuple(zip(entries[:2 * blocks:2],
+                                      entries[1:2 * blocks:2])),
+                         tuple(entries[2 * blocks:]))
+
+
 def _nontame_outcome(K, rng, blocks, ql):
     try:
-        entries = [random_elem(K, rng, 2, nonzero=True)
-                   for _ in range(2 * blocks + ql)]
-        phi = QuadraticForm(K, tuple(zip(entries[:2 * blocks:2],
-                                         entries[1:2 * blocks:2])),
-                            tuple(entries[2 * blocks:]))
-        return decide_isotropy(phi).kind
+        return decide_isotropy(_random_form(K, rng, blocks, ql)).kind
     except DegreeOverflow:
         return "DegreeOverflow"
 
@@ -96,7 +113,43 @@ def nontame():
     return out
 
 
-PROBES = {"kernel_swell": kernel_swell, "nontame": nontame}
+def _index_counts(forms):
+    counts = dict.fromkeys(("forms", "equal", "splitting_tighter",
+                            "symbols_tighter", "disagreeing",
+                            "public_tighter", "DegreeOverflow"), 0)
+    for phi in forms:
+        counts["forms"] += 1
+        try:
+            symbols = clifford._symbol_class(phi).index_interval
+            res = clifford.splitting_index(phi)
+            public = clifford.even_clifford_class(phi).index_interval
+        except DegreeOverflow:
+            counts["DegreeOverflow"] += 1
+            continue
+        split = (res.ind_low, res.ind_high)
+        key = "equal" if split == symbols else \
+            "splitting_tighter" if nested(split, symbols) else \
+            "symbols_tighter" if nested(symbols, split) else "disagreeing"
+        counts[key] += 1
+        counts["public_tighter"] += public != symbols
+    return counts
+
+
+def _nontame_forms():
+    for K in (K1, K2):
+        rng = random.Random(5)
+        for dim in range(2, 9):
+            for _ in range(30):
+                yield _random_form(K, rng, dim // 2, dim % 2)
+
+
+def clifford_index():
+    return {"tame": _index_counts(index_corpus(20)),
+            "nontame": _index_counts(_nontame_forms())}
+
+
+PROBES = {"kernel_swell": kernel_swell, "nontame": nontame,
+          "clifford_index": clifford_index}
 
 
 def main(names):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from qf2 import clifford
-from qf2.errors import NotAlbert, SoundnessError, Undecided
+from qf2.errors import DegreeOverflow, NotAlbert, SoundnessError, Undecided
 from qf2.fieldtower import parse_field, render_element
 from qf2.forms import (GramInput, QuadraticForm, arf, block, hyperbolic,
                        hyperbolic_plane, normal_form, orthogonal_sum,
@@ -21,8 +21,8 @@ from qf2.witt import witt_decompose
 
 from clifford_oracle import (_generators, check_center_identities,
                              solve_center, structure_constants)
-from helpers import (K1, K2, K3, random_elem, random_tame_form, random_unit,
-                     run_optimized)
+from helpers import (K1, K2, K3, index_corpus, nested, random_elem,
+                     random_tame_form, random_unit, run_optimized)
 
 F2 = parse_field("F2")
 
@@ -513,18 +513,78 @@ def test_index_interval_descriptor():
     assert desc2.index_interval == (2, 2)
 
 
+def test_index_intervals_agree_on_the_tame_corpus():
+    # the symbols alone and the splitting index certify the same index of
+    # C'_0(phi) wherever both are resolved, and the public interval, read
+    # off the splitting index where it can be, only tightens the symbols'
+    both = 0
+    for phi in index_corpus(4):
+        try:
+            symbols = clifford._symbol_class(phi).index_interval
+            res = splitting_index(phi)
+            public = even_clifford_class(phi).index_interval
+        except DegreeOverflow:
+            continue
+        split = (res.ind_low, res.ind_high)
+        if res.resolved and symbols[0] == symbols[1]:
+            both += 1
+            assert split == symbols, (phi, res.rule)
+        assert nested(public, symbols), (phi, public, symbols)
+        assert nested(split, symbols) or nested(symbols, split)
+    assert both >= 100
+
+
+@pytest.mark.parametrize("text, dim", [
+    ("[1,1]+s*[1,1]+t*[1,1]+<s*t>", 7), ("pf(s,t;1)", 8)])
+def test_symbol_rule_does_not_recurse(text, dim):
+    # an anisotropic kernel of dim >= 7 takes its splitting index from the
+    # symbols, and even_clifford_class reads that result only where it does
+    # not come from the symbols
+    phi = form(K2, text)
+    assert phi.dim == dim and witt_decompose(phi).witt_index == 0
+    res = splitting_index(phi)
+    assert res.rule == "symbols" and (res.ind_low, res.ind_high) == (1, 1)
+    desc = even_clifford_class(phi)
+    assert desc.index_interval == (1, 1)
+    assert desc == clifford._symbol_class(phi)
+
+
+def test_class_falls_back_to_the_symbols(monkeypatch):
+    # wherever splitting_index raises, the symbols certify the interval
+    phi = form(K1, "[1,1]+t*[1,1]")
+    want = even_clifford_class(phi)
+
+    def refuse(psi):
+        raise DegreeOverflow("degree 65 > 64")
+    monkeypatch.setattr(clifford, "splitting_index", refuse)
+    assert even_clifford_class(form(K1, "[1,1]+t*[1,1]")) == want
+
+
+def test_class_reads_the_splitting_index_of_a_hyperbolic_form(monkeypatch):
+    # q + q is hyperbolic, so its class is split with no symbol work
+    def refuse(*args):
+        raise AssertionError("the symbols were asked for an interval")
+    monkeypatch.setattr(clifford, "_index_interval_of_symbols", refuse)
+    q = form(K2, "[1,1]+s*[1,1/t]")
+    desc = even_clifford_class(orthogonal_sum(q, q))
+    assert desc.index_interval == (1, 1)
+    assert len(desc.symbols) == 4 and desc.rules == (
+        "even-trivial-arf-symbols",)
+
+
 @pytest.mark.parametrize("text, rule, s, interval", [
     # centre a field Z: i_W over Z is 0, so ind 2
     ("[t,1/(s*t)]+[1/s,s+1]", "dim4-over-Z", 0, (2, 2)),
     # ramified centre: no extension to decide over
     ("[1,1]+[t,1/(s*t)]", "dim4-ramified", None, (1, 2))])
 def test_dim4_index_over_the_centre(text, rule, s, interval):
-    # the dim-4 rules decide over the centre's field; the symbol calculus of
-    # even_clifford_class works the interval out separately
+    # the dim-4 rules decide over the centre's field, and the symbol
+    # calculus works the same interval out separately
     phi = form(K2, text)
     res = splitting_index(phi)
     assert (res.rule, res.s, (res.ind_low, res.ind_high)) == (rule, s,
                                                               interval)
+    assert clifford._symbol_class(phi).index_interval == interval
     assert even_clifford_class(phi).index_interval == interval
 
 

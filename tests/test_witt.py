@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qf2 import clifford, forms, pfister, witt
+from qf2 import chow, clifford, forms, pfister, witt
 from qf2.clifford import splitting_index
 from qf2.errors import (BudgetExceeded, DegreeOverflow, NotNormalizable,
                         QF2Error, SoundnessError, Undecided)
@@ -92,8 +92,8 @@ def test_isotropic_first_residue_is_lifted_past_an_unknown_second():
 
 
 def test_replay_decides_a_tampered_verdict_again():
-    # the memo of decide_isotropy(v.form) is v itself, so the replay must
-    # run the engine, which finds the form isotropic
+    # the replay decides the form again without the memo, and finds it
+    # isotropic
     v = decide_isotropy(form(K2, "[1,1]+t*[1,1]+<t>"))
     assert v.certificate["kind"] == "lifted-witness"
     for name, value in (("kind", "anisotropic"), ("witness", None),
@@ -187,6 +187,77 @@ def test_form_facts_live_as_long_as_their_form(monkeypatch, fact, module,
         with pytest.raises(QF2Error):
             fact(degenerate)
     assert degenerate._facts == {}
+
+
+# --- memory: a decided form is freed by reference count -----------------------
+
+@pytest.fixture
+def no_collector():
+    """The cyclic collector off: an object is freed only when its reference
+    count falls to zero."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("text", [
+    "[1,1]+[1,1]+s*[1,1]", "[1,1]+s*[1,1]+t*[1,1]"],
+    ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("fact", [
+    decide_isotropy, witt_decompose, splitting_index,
+    clifford.even_clifford_class, chow.chow2_torsion, chow.chow3_torsion])
+def test_a_decided_form_dies_with_its_last_reference(no_collector, text,
+                                                     fact):
+    # no kept fact references the form it is kept on, so the form goes on
+    # del, while the caller still holds the value
+    phi = form(K2, text)
+    ref = weakref.ref(phi)
+    value = fact(phi)
+    shown = value.to_json()
+    del phi
+    assert ref() is None
+    assert value.to_json() == shown
+
+
+def test_a_verdict_holds_an_equal_copy_of_its_form():
+    phi = form(K2, "[1,1]+s*[1,1]+t*[1,1]")
+    v = decide_isotropy(phi)
+    assert v.form == phi and v.form is not phi
+    dec = witt_decompose(phi)
+    assert dec.witt_index == 0 and dec.kernel == phi and dec.kernel is not phi
+    assert witt_decompose(dec.kernel).to_json() == dec.to_json()
+
+
+def _engine_cycle(seed):
+    """Tame forms of dims 2-8 over K1 and K2, dims 2-4 over K3, and doubles
+    q + q, through the engine's facts; every result is dropped."""
+    rng = random.Random(seed)
+    shapes = [(K, dim) for K in (K1, K2) for dim in range(2, 9)] + \
+        [(K3, dim) for dim in range(2, 5)]
+    for K, dim in shapes:
+        q = random_tame_form(K, rng, dim // 2, dim % 2)
+        for phi in (q, orthogonal_sum(q, q)) if dim % 2 == 0 else (q,):
+            for fact in (decide_isotropy, witt_decompose, splitting_index,
+                         clifford.even_clifford_class, chow.chow2_torsion,
+                         chow.chow3_torsion):
+                try:
+                    fact(phi)
+                except QF2Error:
+                    pass
+
+
+def test_engine_cycles_leave_no_form_for_the_collector(no_collector):
+    for seed in (1, 2):
+        _engine_cycle(seed)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, QuadraticForm)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_quasilinear_four_independent():
